@@ -34,7 +34,10 @@ type engine struct {
 	// halvesOK records that the game's edge-cost term is derivable from
 	// degrees, the precondition for serving costs from the distance cache.
 	halvesOK bool
-	cache    *costCache
+	// sums selects landmark mode's cost reads: the primary scratch's
+	// all-sources pass, memoized per network version.
+	sums  bool
+	cache *costCache
 	// lmk is the landmark oracle of landmark-mode runs (nil otherwise),
 	// kept exact across moves by afterMove.
 	lmk   *graph.Landmarks
@@ -92,10 +95,15 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	// the wrap marks a regime (see game.PreferNaiveScan) where cache
 	// maintenance costs more than the BFS costs it replaces. Landmark
 	// mode skips the cache too — its O(n²) matrix is exactly what the
-	// mode exists to avoid; cost reads fall back to per-agent searches.
-	e.halvesOK = false
-	if n > 0 && !game.IsNaive(gm) && spec.Mode != OracleLandmark {
-		_, e.halvesOK = game.EdgeCostHalves(gm, g, 0)
+	// mode exists to avoid. Its cost reads come from one batched
+	// all-sources pass per network version instead, memoized in the
+	// primary scratch in O(n) memory, which also lets that scratch score
+	// SUM leaf movers without a search per target.
+	e.halvesOK, e.sums = false, false
+	if n > 0 && !game.IsNaive(gm) {
+		_, ok := game.EdgeCostHalves(gm, g, 0)
+		e.halvesOK = ok && spec.Mode != OracleLandmark
+		e.sums = ok && spec.Mode == OracleLandmark
 	}
 	if cap(e.probe) < workers {
 		e.probe = make([]bool, workers)
@@ -119,8 +127,12 @@ func (e *engine) scratch() *game.Scratch { return e.scr[0] }
 // batched all-sources kernel — sharded over the worker pool when one is
 // configured, which is exact: shards write disjoint column blocks — and
 // installs it as the scratches' distance oracle, which lets delta scans
-// score additions searchlessly and prune hopeless swap targets.
+// score additions searchlessly and prune hopeless swap targets. Landmark
+// mode reads the primary scratch's memoized all-sources pass instead.
 func (e *engine) cost(u int) game.Cost {
+	if e.sums {
+		return game.MemoCost(e.g, e.gm, u, e.scr[0])
+	}
 	if !e.halvesOK {
 		return e.gm.Cost(e.g, u, e.scr[0])
 	}

@@ -53,8 +53,9 @@ func TestOracleSpecResolve(t *testing.T) {
 
 // oracleParityConfigs spans the regimes whose landmark traces must be
 // bit-identical to exact mode: both swap games, both cost kinds, the
-// engine-backed and plain policies, all tie rules, cycle detection, and a
-// simultaneous-move schedule.
+// engine-backed and plain policies, all tie rules, cycle detection, a
+// simultaneous-move schedule, and max-cost probe waves whose parallel
+// scratches hold no warm all-sources aggregates.
 func oracleParityConfigs() []Config {
 	return []Config{
 		{Game: game.NewSwap(game.Sum), Policy: MaxCost{}, Tie: TieRandom, Seed: 5, DetectCycles: true},
@@ -65,6 +66,7 @@ func oracleParityConfigs() []Config {
 		{Game: game.NewAsymSwap(game.Sum), Policy: Random{}, Tie: TieRandom, Seed: 7, Workers: 3},
 		{Game: game.NewSwap(game.Sum), Policy: MinIndex{}, Tie: TieRandom, Seed: 11,
 			Schedule: Rounds{Active: ActiveAll, Collision: SkipOnConflict}, DetectCycles: true},
+		{Game: game.NewSwap(game.Sum), Policy: MaxCost{}, Tie: TieRandom, Seed: 13, Workers: 3},
 	}
 }
 

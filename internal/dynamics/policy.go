@@ -7,7 +7,9 @@
 package dynamics
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 
 	"ncg/internal/game"
 	"ncg/internal/graph"
@@ -64,21 +66,14 @@ func maxCostOrder(n int, cost func(u int) game.Cost, alpha game.Alpha, r *rand.R
 			agents[u].tieR = r.Int63()
 		}
 	}
-	// Insertion sort by descending cost with random tie order; n is small
-	// and the dominant cost is the happiness probing afterwards anyway.
-	for i := 1; i < n; i++ {
-		a := agents[i]
-		j := i - 1
-		for j >= 0 {
-			cmp := agents[j].c.Cmp(a.c, alpha)
-			if cmp > 0 || (cmp == 0 && agents[j].tieR >= a.tieR) {
-				break
-			}
-			agents[j+1] = agents[j]
-			j--
+	// Descending cost, then descending tie key; the stable sort keeps
+	// index order among equal keys (all ties when r is nil).
+	slices.SortStableFunc(agents, func(a, b costedAgent) int {
+		if c := b.c.Cmp(a.c, alpha); c != 0 {
+			return c
 		}
-		agents[j+1] = a
-	}
+		return cmp.Compare(b.tieR, a.tieR)
+	})
 	if cap(ord) < n {
 		ord = make([]int, n)
 	}
@@ -134,16 +129,12 @@ func maxCostOrderDeterministic(n int, cost func(u int) game.Cost, alpha game.Alp
 		costs[u] = cost(u)
 		order[u] = u
 	}
-	// Stable insertion sort by descending cost keeps index order on ties.
-	for i := 1; i < n; i++ {
-		u := order[i]
-		j := i - 1
-		for j >= 0 && costs[order[j]].Cmp(costs[u], alpha) < 0 {
-			order[j+1] = order[j]
-			j--
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := costs[b].Cmp(costs[a], alpha); c != 0 {
+			return c
 		}
-		order[j+1] = u
-	}
+		return cmp.Compare(a, b)
+	})
 	return order
 }
 

@@ -59,16 +59,20 @@ type deltaScratch struct {
 	witBuf []int32
 	witOff []int32
 	cnt    []int32
-	// Current-cost aggregates over a(v): the sum, the maximum with its
-	// witness class, and the best value outside that class.
+	// Current-cost aggregates over a(v): the sum with the number of
+	// unreachable vertices, the maximum with its witness class, and the
+	// best value outside that class.
 	curSum  int64
+	curInf  int32
 	curMax1 int32
 	curC1   int32
 	curMax2 int32
 	// Per-target aggregates of f_y(v) = min(a(v), 1 + d_{G-u}(y, v)),
-	// computed together with the target's row: the sum, the maximum with
-	// its witness class, and the best value outside that class.
+	// computed together with the target's row: the sum with the number of
+	// unreachable vertices, the maximum with its witness class, and the
+	// best value outside that class.
 	ySum  []int64
+	yInf  []int32
 	yMax1 []int32
 	yC1   []int32
 	yMax2 []int32
@@ -83,11 +87,10 @@ type deltaScratch struct {
 	minsReady bool
 	// suspects is the damage set of oracle-seeded row repairs.
 	suspects graph.Bitset
-	// batch and rowp serve the batched neighbour-row builds of oracle-less
-	// scans: one bit-parallel kernel call computes every d_{G-u}(w, .) row
+	// rowp serves the batched neighbour-row builds of oracle-less scans:
+	// one bit-parallel kernel call computes every d_{G-u}(w, .) row
 	// instead of one BFSExcluding per neighbour.
-	batch *graph.BatchBFSScratch
-	rowp  [][]int32
+	rowp [][]int32
 }
 
 // deltaBatchMinN is the vertex count from which oracle-less scans batch
@@ -115,6 +118,7 @@ func (d *deltaScratch) grow(n int) {
 	d.witOff = make([]int32, n+2)
 	d.cnt = make([]int32, n+1)
 	d.ySum = make([]int64, n)
+	d.yInf = make([]int32, n)
 	d.yMax1 = make([]int32, n)
 	d.yC1 = make([]int32, n)
 	d.yMax2 = make([]int32, n)
@@ -190,14 +194,11 @@ func (s *Scratch) deltaInit(g graph.Store, u int) {
 		// Below the size threshold single-source searches are so cheap
 		// that the kernel's per-call adjacency snapshot costs more than
 		// the frontier work it batches.
-		if d.batch == nil {
-			d.batch = graph.NewBatchBFSScratch(d.n)
-		}
 		d.rowp = d.rowp[:0]
 		for _, w := range s.nbrs {
 			d.rowp = append(d.rowp, d.newRow(w))
 		}
-		g.BatchBFSExcluding(s.nbrs, u, d.rowp, nil, d.batch)
+		g.BatchBFSExcluding(s.nbrs, u, d.rowp, nil, s.kernel())
 	}
 	for i, w := range s.nbrs {
 		d.pos[w] = int32(i)
@@ -241,7 +242,7 @@ func (s *Scratch) deltaInit(g graph.Store, u int) {
 	}
 	off[0] = 0
 	// Current-cost aggregates over a(v) = 1 + min1[v].
-	d.curSum = 0
+	d.curSum, d.curInf = 0, 0
 	d.curMax1, d.curC1, d.curMax2 = 0, -2, 0
 	for v := 0; v < n; v++ {
 		if v == u {
@@ -259,6 +260,9 @@ func (s *Scratch) deltaInit(g graph.Store, u int) {
 		} else if cls != d.curC1 && a > d.curMax2 {
 			d.curMax2 = a
 		}
+	}
+	if d.curSum >= unreachable {
+		d.curInf = d.unreached(u, nil)
 	}
 }
 
@@ -345,28 +349,75 @@ func (s *Scratch) deltaTargetAggr(u, y int, row []int32) {
 			m2 = f
 		}
 	}
-	d.ySum[y] = sum
+	d.ySum[y], d.yInf[y] = sum, 0
+	if sum >= unreachable {
+		d.yInf[y] = d.unreached(u, row)
+	}
 	d.yMax1[y], d.yC1[y], d.yMax2[y] = m1, c1, m2
 }
 
-// deltaFinite converts an aggregated distance value to cost semantics:
-// any vertex left unreachable pushes the aggregate past Unreachable, which
-// saturates to DistInf (finite aggregates stay below Unreachable as long
-// as n*n < Unreachable, i.e. n < 23170).
-func deltaFinite(v int64) int64 {
-	if v >= int64(graph.Unreachable) {
+// unreachable is Unreachable as a SUM aggregate.
+const unreachable = int64(graph.Unreachable)
+
+// sumFinite converts a SUM aggregate with its count of unreachable
+// vertices to cost semantics. Disconnection is decided by the count, never
+// by the aggregate's size: a connected agent's distance sum passes
+// Unreachable from n = 23170 on (the end of a 47000-vertex path sums to
+// over 10^9). Each unreachable vertex adds at least Unreachable to the
+// sum, so a smaller sum has none and the count need only be taken when
+// the sum reaches it — which keeps the counting off the hot loops.
+func sumFinite(sum int64, unreached int32) int64 {
+	if unreached > 0 {
 		return DistInf
 	}
-	return v
+	return sum
+}
+
+// unreached counts the vertices v != u that u reaches through none of its
+// neighbour rows and, if row is non-nil, not through that added target's
+// G-u row either.
+func (d *deltaScratch) unreached(u int, row []int32) int32 {
+	var inf int32
+	for v := 0; v < d.dn; v++ {
+		if v != u && d.min1[v] >= graph.Unreachable && (row == nil || row[v] >= graph.Unreachable) {
+			inf++
+		}
+	}
+	return inf
+}
+
+// bucketUnreached counts the vertices of a witness bucket that turn
+// unreachable once their witness is dropped: their fallback min2 and, if
+// ry is non-nil, the added target's G-u row are both unreachable. Bucket
+// vertices have a finite witness distance, so none of them was counted
+// before the drop.
+func (d *deltaScratch) bucketUnreached(bucket, ry []int32) int32 {
+	var inf int32
+	for _, v := range bucket {
+		if d.min2[v] >= graph.Unreachable && (ry == nil || ry[v] >= graph.Unreachable) {
+			inf++
+		}
+	}
+	return inf
+}
+
+// maxFinite converts a MAX aggregate to cost semantics: an unreachable
+// vertex lifts the maximum to at least Unreachable, which no finite
+// eccentricity (below n) reaches.
+func maxFinite(m int64) int64 {
+	if m >= int64(graph.Unreachable) {
+		return DistInf
+	}
+	return m
 }
 
 // deltaCurDist returns u's current distance cost.
 func (s *Scratch) deltaCurDist(kind DistKind) int64 {
 	d := &s.delta
 	if kind == Sum {
-		return deltaFinite(d.curSum)
+		return sumFinite(d.curSum, d.curInf)
 	}
-	return deltaFinite(int64(d.curMax1))
+	return maxFinite(int64(d.curMax1))
 }
 
 // deltaOracleCurDist returns u's current distance cost read from the
@@ -374,21 +425,24 @@ func (s *Scratch) deltaCurDist(kind DistKind) int64 {
 func (s *Scratch) deltaOracleCurDist(u int, kind DistKind) int64 {
 	du := s.oracle.Row(u)
 	var sum int64
-	var max int32
+	var inf, max int32
 	for v, t := range du {
 		if v == u {
 			continue
 		}
 		if kind == Sum {
 			sum += int64(t)
+			if t >= graph.Unreachable {
+				inf++
+			}
 		} else if t > max {
 			max = t
 		}
 	}
 	if kind == Max {
-		return deltaFinite(int64(max))
+		return maxFinite(int64(max))
 	}
-	return deltaFinite(sum)
+	return sumFinite(sum, inf)
 }
 
 // deltaTargetBound returns a lower bound on u's distance cost after any
@@ -476,7 +530,11 @@ func (s *Scratch) deltaTargetBound(u, y int, kind DistKind, limit int64) (int64,
 		b = int64(max)
 	}
 	if exact {
-		b = deltaFinite(b)
+		if kind == Sum {
+			b = sumFinite(b, s.oracleAddUnreached(u, y, b))
+		} else {
+			b = maxFinite(b)
+		}
 		d.bndExact.Set(y)
 	} else {
 		d.bndExact.Clear(y)
@@ -484,6 +542,24 @@ func (s *Scratch) deltaTargetBound(u, y int, kind DistKind, limit int64) (int64,
 	d.bnd[y] = b
 	d.bndDone.Set(y)
 	return b, true
+}
+
+// oracleAddUnreached counts the vertices that stay unreachable from u
+// after adding the edge {u,y}, given the exact SUM aggregate of that
+// addition (see sumFinite for why a smaller aggregate needs no count).
+func (s *Scratch) oracleAddUnreached(u, y int, sum int64) int32 {
+	if sum < unreachable {
+		return 0
+	}
+	du := s.oracle.Row(u)
+	dy := s.oracle.Row(y)
+	var inf int32
+	for v := range du {
+		if v != u && du[v] >= graph.Unreachable && dy[v] >= graph.Unreachable {
+			inf++
+		}
+	}
+	return inf
 }
 
 // boundExact forces deltaTargetBound to aggregate without an early exit.
@@ -524,9 +600,9 @@ func (s *Scratch) deltaAddDist(g graph.Store, u, y int, kind DistKind) int64 {
 	d := &s.delta
 	s.deltaTarget(g, u, y)
 	if kind == Sum {
-		return deltaFinite(d.ySum[y])
+		return sumFinite(d.ySum[y], d.yInf[y])
 	}
-	return deltaFinite(int64(d.yMax1[y]))
+	return maxFinite(int64(d.yMax1[y]))
 }
 
 // deltaDropDist returns u's distance cost after removing the edge {u,x}.
@@ -539,7 +615,11 @@ func (s *Scratch) deltaDropDist(x int, kind DistKind) int64 {
 		for _, v := range bucket {
 			sum += int64(d.min2[v] - d.min1[v])
 		}
-		return deltaFinite(sum)
+		var inf int32
+		if sum >= unreachable {
+			inf = d.curInf + d.bucketUnreached(bucket, nil)
+		}
+		return sumFinite(sum, inf)
 	}
 	m := d.curMax1
 	if d.curC1 == xi {
@@ -550,7 +630,7 @@ func (s *Scratch) deltaDropDist(x int, kind DistKind) int64 {
 			m = f
 		}
 	}
-	return deltaFinite(int64(m))
+	return maxFinite(int64(m))
 }
 
 // deltaSwapDist returns u's distance cost after swapping the edge {u,x}
@@ -578,7 +658,11 @@ func (s *Scratch) deltaSwapScore(x, y int, ry []int32, kind DistKind) int64 {
 			}
 			sum += int64(f1 - f0)
 		}
-		return deltaFinite(sum)
+		var inf int32
+		if sum >= unreachable {
+			inf = d.yInf[y] + d.bucketUnreached(bucket, ry)
+		}
+		return sumFinite(sum, inf)
 	}
 	m := d.yMax1[y]
 	if d.yC1[y] == xi {
@@ -593,7 +677,7 @@ func (s *Scratch) deltaSwapScore(x, y int, ry []int32, kind DistKind) int64 {
 			m = f
 		}
 	}
-	return deltaFinite(int64(m))
+	return maxFinite(int64(m))
 }
 
 // deltaSwapHalves returns the alpha/2-unit count of agent u after swapping

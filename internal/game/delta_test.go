@@ -268,3 +268,35 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaLargeSumNotDisconnected pins the cost semantics of SUM
+// aggregates past Unreachable: the end of a 47000-vertex path is connected
+// with a distance sum over 10^9, and its one host-permitted swap (to the
+// path's middle) halves that sum. Disconnection must come from unreachable
+// vertices, not from the size of the sum.
+func TestDeltaLargeSumNotDisconnected(t *testing.T) {
+	const n, mid = 47000, 23500
+	g := graph.NewSparse(n)
+	host := graph.NewSparse(n)
+	for v := 0; v+1 < n; v++ {
+		g.AddEdge(v, v+1)
+		host.AddEdge(v, v+1)
+	}
+	host.AddEdge(0, mid)
+	gm := NewSwapHost(Sum, host)
+	s := NewScratch(n)
+	if c := gm.Cost(g, 0, s); c.Dist != 1104476500 {
+		t.Fatalf("Cost(0) = %v, want 1104476500", c)
+	}
+	if !gm.HasImproving(g, 0, s) {
+		t.Fatal("HasImproving(0) = false, want the swap to the middle")
+	}
+	want := []Move{{Agent: 0, Drop: []int{1}, Add: []int{mid}}}
+	moves, c := gm.BestMoves(g, 0, s, nil)
+	if c.Dist != 552273499 || !movesEqual(cloneMoves(moves), want) {
+		t.Fatalf("BestMoves(0) = %v at %v, want %v at 552273499", moves, c, want)
+	}
+	if moves := gm.ImprovingMoves(g, 0, s, nil); !movesEqual(cloneMoves(moves), want) {
+		t.Fatalf("ImprovingMoves(0) = %v, want %v", moves, want)
+	}
+}

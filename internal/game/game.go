@@ -88,41 +88,62 @@ func EdgeCostHalves(gm Game, g graph.Store, u int) (int64, bool) {
 // distance aggregates in one batched bit-parallel BFS pass (64 sources per
 // pass) instead of n single-source searches. The result is identical to
 // calling gm.Cost per agent; games whose edge-cost term is not derivable
-// from degrees fall back to per-agent evaluation.
+// from degrees fall back to per-agent evaluation. The pass is memoized in
+// s (see MemoCost), so it also warms s for the leaf scans of swap games.
 func AllCosts(g graph.Store, gm Game, s *Scratch, dst []Cost) []Cost {
-	n := g.N()
-	if n == 0 {
-		return dst
-	}
-	if _, ok := EdgeCostHalves(gm, g, 0); !ok {
-		for u := 0; u < n; u++ {
-			dst = append(dst, gm.Cost(g, u, s))
-		}
-		return dst
-	}
-	res := allSourcesResults(g, s)
-	kind := gm.DistKind()
-	for u := 0; u < n; u++ {
-		h, _ := EdgeCostHalves(gm, g, u)
-		dst = append(dst, Cost{Halves: h, Dist: distCost(res[u], n, kind)})
+	for u := 0; u < g.N(); u++ {
+		dst = append(dst, MemoCost(g, gm, u, s))
 	}
 	return dst
 }
 
-// allSourcesResults runs the batched all-sources BFS pass into the
-// scratch's reusable result buffer — the shared scaffolding of AllCosts
-// and TotalCost.
-func allSourcesResults(g graph.Store, s *Scratch) []graph.BFSResult {
+// MemoCost returns agent u's current cost, identical to gm.Cost. Where the
+// game's edge-cost term is derivable from degrees, the distance aggregate
+// is read from the batched all-sources pass memoized in s for g's current
+// version (running it first when g changed since), so the cost reads of
+// every agent of one network version share a single pass in O(n) memory.
+func MemoCost(g graph.Store, gm Game, u int, s *Scratch) Cost {
+	h, ok := EdgeCostHalves(gm, g, u)
+	if !ok {
+		return gm.Cost(g, u, s)
+	}
+	return Cost{Halves: h, Dist: distCost(s.allSources(g)[u], g.N(), gm.DistKind())}
+}
+
+// allSources returns the per-source aggregates of the batched all-sources
+// BFS pass over g, memoized on (g, AdjVersion) like the kernel scratch's
+// CSR snapshot: a repeated call on an unmutated network reruns nothing.
+func (s *Scratch) allSources(g graph.Store) []graph.BFSResult {
+	if res := s.warmSums(g); res != nil {
+		return res
+	}
 	n := g.N()
+	if cap(s.sums) < n {
+		s.sums = make([]graph.BFSResult, n)
+	}
+	s.sums = s.sums[:n]
+	g.AllSourcesBFS(nil, s.sums, s.kernel())
+	s.sumsFor, s.sumsVer = g, g.AdjVersion()
+	return s.sums
+}
+
+// warmSums returns the memoized aggregates if they hold g's current
+// version, and nil otherwise. Scans read them through this and never start
+// a pass of their own.
+func (s *Scratch) warmSums(g graph.Store) []graph.BFSResult {
+	if s.sumsFor != g || s.sumsVer != g.AdjVersion() {
+		return nil
+	}
+	return s.sums
+}
+
+// kernel returns the scratch's batched-BFS kernel scratch, allocating it on
+// first use.
+func (s *Scratch) kernel() *graph.BatchBFSScratch {
 	if s.batch == nil {
-		s.batch = graph.NewBatchBFSScratch(n)
+		s.batch = graph.NewBatchBFSScratch(s.n)
 	}
-	if cap(s.resBuf) < n {
-		s.resBuf = make([]graph.BFSResult, n)
-	}
-	res := s.resBuf[:n]
-	g.AllSourcesBFS(nil, res, s.batch)
-	return res
+	return s.batch
 }
 
 // TotalCost sums every agent's cost of g under gm — the social cost in
@@ -131,24 +152,10 @@ func allSourcesResults(g graph.Store, s *Scratch) []graph.BFSResult {
 // callers (quality scoring of campaign hits, ensemble sinks): with a warm
 // Scratch the batched path allocates nothing.
 func TotalCost(g graph.Store, gm Game, s *Scratch) (halves, dist int64) {
-	n := g.N()
-	if n == 0 {
-		return 0, 0
-	}
-	if _, ok := EdgeCostHalves(gm, g, 0); !ok {
-		for u := 0; u < n; u++ {
-			c := gm.Cost(g, u, s)
-			halves += c.Halves
-			dist += c.Dist
-		}
-		return halves, dist
-	}
-	res := allSourcesResults(g, s)
-	kind := gm.DistKind()
-	for u := 0; u < n; u++ {
-		h, _ := EdgeCostHalves(gm, g, u)
-		halves += h
-		dist += distCost(res[u], n, kind)
+	for u := 0; u < g.N(); u++ {
+		c := MemoCost(g, gm, u, s)
+		halves += c.Halves
+		dist += c.Dist
 	}
 	return halves, dist
 }
@@ -185,9 +192,19 @@ type Scratch struct {
 	lmk *graph.Landmarks
 	lm  lmScratch
 
-	// batch and resBuf serve AllCosts' batched all-sources pass.
-	batch  *graph.BatchBFSScratch
-	resBuf []graph.BFSResult
+	// batch is the one kernel scratch behind every batched search on s:
+	// the all-sources pass, oracle-less neighbour rows and landmark
+	// survivor rows.
+	batch *graph.BatchBFSScratch
+	// sums memoizes the per-source aggregates of the all-sources pass over
+	// sumsFor at adjacency version sumsVer (see allSources).
+	sums    []graph.BFSResult
+	sumsFor graph.Store
+	sumsVer uint64
+	// score memoizes the swap scores of the current scan, indexed
+	// xi*len(buf2)+yi, when a batched source (leafScores, lmBatchScores)
+	// scored it up front.
+	score []int64
 }
 
 // DistOracle provides exact all-pairs shortest-path distances of the

@@ -66,16 +66,14 @@ type lmScratch struct {
 	wit []int32
 	wa  []int32
 	wb  []int32
-	// Batched exact-scoring state (see lmBatchScores): score memoizes the
-	// swap scores of one scan as score[xi*len(buf2)+yi]; rows is the
+	// Batched exact-scoring state (see lmBatchScores): rows is the
 	// lmChunk-wide target-row arena the batched kernel writes into, rowp
 	// its per-call slice header, srcs/tis the pending chunk's targets and
 	// their positions in buf2.
-	score []int64
-	rows  [][]int32
-	rowp  [][]int32
-	srcs  []int
-	tis   []int32
+	rows [][]int32
+	rowp [][]int32
+	srcs []int
+	tis  []int32
 }
 
 // lmWitnesses is the witness-set size of the MAX bound.
@@ -344,7 +342,7 @@ func (l *lmScratch) ensureRows(dn int) {
 
 // lmBatchScores exactly scores every target that survives the armed
 // landmark bound against every drop candidate, and memoizes the scores in
-// l.score (indexed xi*len(buf2)+yi, matching the emission loops of
+// s.score (indexed xi*len(buf2)+yi, matching the emission loops of
 // swapScan/swapBest). Survivors keep bound < limit when strict, otherwise
 // bound <= limit; emission-loop pruning only ever narrows those sets, so
 // every pair the emission loop scores has a memoized entry. The survivors'
@@ -360,14 +358,11 @@ func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64
 		return false
 	}
 	l := &s.lm
-	if cap(l.score) < deg*nt {
-		l.score = make([]int64, deg*nt)
+	if cap(s.score) < deg*nt {
+		s.score = make([]int64, deg*nt)
 	}
-	l.score = l.score[:deg*nt]
+	s.score = s.score[:deg*nt]
 	l.ensureRows(d.dn)
-	if d.batch == nil {
-		d.batch = graph.NewBatchBFSScratch(d.n)
-	}
 	l.srcs = l.srcs[:0]
 	l.tis = l.tis[:0]
 	for ti, y := range s.buf2 {
@@ -398,12 +393,12 @@ func (s *Scratch) lmFlushScores(g graph.Store, u int, kind DistKind, nt int) {
 		rows = append(rows, l.rows[i][:d.dn])
 	}
 	l.rowp = rows
-	g.BatchBFSExcluding(l.srcs, u, rows, nil, d.batch)
+	g.BatchBFSExcluding(l.srcs, u, rows, nil, s.kernel())
 	for i, y := range l.srcs {
 		s.deltaTargetAggr(u, y, rows[i])
 		ti := int(l.tis[i])
 		for xi, x := range s.buf {
-			l.score[xi*nt+ti] = s.deltaSwapScore(x, y, rows[i], kind)
+			s.score[xi*nt+ti] = s.deltaSwapScore(x, y, rows[i], kind)
 		}
 	}
 	l.srcs = l.srcs[:0]
@@ -432,15 +427,12 @@ func (s *Scratch) lmAnyImproving(g graph.Store, u int, kind DistKind, cur int64)
 		}
 		s.deltaInit(g, u)
 		l.ensureRows(d.dn)
-		if d.batch == nil {
-			d.batch = graph.NewBatchBFSScratch(d.n)
-		}
 		rows := l.rowp[:0]
 		for i := range l.srcs {
 			rows = append(rows, l.rows[i][:d.dn])
 		}
 		l.rowp = rows
-		g.BatchBFSExcluding(l.srcs, u, rows, nil, d.batch)
+		g.BatchBFSExcluding(l.srcs, u, rows, nil, s.kernel())
 		for i, y := range l.srcs {
 			s.deltaTargetAggr(u, y, rows[i])
 			for _, x := range s.buf {

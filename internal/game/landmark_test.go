@@ -101,7 +101,9 @@ func TestLandmarkProbeBoundSound(t *testing.T) {
 
 // TestLandmarkScanEquality pins the bit-identity contract: with the filter
 // installed, HasImproving / ImprovingMoves / BestMoves return exactly what
-// the unfiltered scan returns, for both swap games and both cost kinds.
+// the unfiltered scan returns, for both swap games and both cost kinds —
+// also when the scratch holds warm all-sources aggregates, which score SUM
+// leaves from the sums instead.
 func TestLandmarkScanEquality(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for _, kind := range []DistKind{Sum, Max} {
@@ -119,21 +121,28 @@ func TestLandmarkScanEquality(t *testing.T) {
 				plain := NewScratch(n)
 				filt := NewScratch(n)
 				filt.SetLandmarks(lm)
+				warm := NewScratch(n)
+				warm.SetLandmarks(lm)
 				for u := 0; u < n; u++ {
-					if gm.HasImproving(g, u, plain) != gm.HasImproving(g, u, filt) {
-						t.Fatalf("%s k=%d u=%d: HasImproving differs", gm.Name(), k, u)
-					}
-					mp := cloneMoves(gm.ImprovingMoves(g, u, plain, nil))
-					mf := cloneMoves(gm.ImprovingMoves(g, u, filt, nil))
-					if !reflect.DeepEqual(mp, mf) {
-						t.Fatalf("%s k=%d u=%d: ImprovingMoves differ\nplain: %v\nfiltered: %v",
-							gm.Name(), k, u, mp, mf)
-					}
-					bp, cp := gm.BestMoves(g, u, plain, nil)
-					bf, cf := gm.BestMoves(g, u, filt, nil)
-					if cp != cf || !reflect.DeepEqual(cloneMoves(bp), cloneMoves(bf)) {
-						t.Fatalf("%s k=%d u=%d: BestMoves differ (%v/%v vs %v/%v)",
-							gm.Name(), k, u, bp, cp, bf, cf)
+					for _, sc := range []*Scratch{filt, warm} {
+						if sc == warm {
+							AllCosts(g, gm, warm, nil)
+						}
+						if gm.HasImproving(g, u, plain) != gm.HasImproving(g, u, sc) {
+							t.Fatalf("%s k=%d u=%d warm=%v: HasImproving differs", gm.Name(), k, u, sc == warm)
+						}
+						mp := cloneMoves(gm.ImprovingMoves(g, u, plain, nil))
+						mf := cloneMoves(gm.ImprovingMoves(g, u, sc, nil))
+						if !reflect.DeepEqual(mp, mf) {
+							t.Fatalf("%s k=%d u=%d warm=%v: ImprovingMoves differ\nplain: %v\nfiltered: %v",
+								gm.Name(), k, u, sc == warm, mp, mf)
+						}
+						bp, cp := gm.BestMoves(g, u, plain, nil)
+						bf, cf := gm.BestMoves(g, u, sc, nil)
+						if cp != cf || !reflect.DeepEqual(cloneMoves(bp), cloneMoves(bf)) {
+							t.Fatalf("%s k=%d u=%d warm=%v: BestMoves differ (%v/%v vs %v/%v)",
+								gm.Name(), k, u, sc == warm, bp, cp, bf, cf)
+						}
 					}
 				}
 			}

@@ -116,16 +116,64 @@ func swapPrepare(b *base, g graph.Store, u int, drops dropFunc, model costModel,
 	return Cost{Halves: curHalves(g, u, model), Dist: s.deltaCurDist(b.kind)}
 }
 
+// leafSums returns the all-sources aggregates memoized in s when u's swaps
+// can be scored from them, and nil otherwise: SUM swap costs, u a leaf
+// whose one edge is its drop candidate (left in s.buf), the network
+// connected, and s holding the aggregates of its current version (MemoCost
+// or AllCosts filled them; a scan never starts the pass itself).
+func (s *Scratch) leafSums(b *base, g graph.Store, u int, drops dropFunc, model costModel) []graph.BFSResult {
+	if b.kind != Sum || model != modelSwap {
+		return nil
+	}
+	res := s.warmSums(g)
+	if res == nil || g.Degree(u) != 1 || res[u].Reached < g.N() {
+		return nil
+	}
+	if s.buf = drops(g, u, s.buf[:0]); len(s.buf) != 1 {
+		return nil
+	}
+	return res
+}
+
+// leafScores fills s.score with the swap scores of a leaf u from its
+// aggregates res, in O(n) instead of one G-u row per target. Swapping the
+// leaf's edge {u,x} for {u,y} routes all of u's distances through y, and a
+// leaf lies on no shortest path between other vertices, so the post-swap
+// distance sum is exactly (n-1) + Sum(y) - d(u,y) — the SUM 1-median
+// argument: a leaf's best swaps connect to the 1-medians of G-u. With the
+// single neighbour row of swapPrepare, d(u,y) = a(y) = 1 + min1[y]. The one
+// drop is the leaf's own edge, so the scores are indexed by target
+// position.
+func (s *Scratch) leafScores(n int, res []graph.BFSResult) {
+	s.score = s.score[:0]
+	d := &s.delta
+	for _, y := range s.buf2 {
+		s.score = append(s.score, int64(n-1)+res[y].Sum-int64(d.min1[y]+1))
+	}
+}
+
 // swapAny reports whether u has a strictly improving single-edge swap. It
-// exits as soon as one is found. With a distance oracle installed (swap
-// games have no edge-cost term, so costs are pure distances) each target
-// is first checked against its oracle bound; hopeless targets cost no
-// search at all, and the neighbour-row preparation itself is deferred
-// until some target survives — a happy agent is then certified without a
-// single BFS. With a landmark oracle instead, one probe search arms the
-// triangle-inequality filter (see landmark.go), and again the neighbour
-// rows are only built once some target's bound survives.
+// exits as soon as one is found. A SUM leaf on a network version whose
+// aggregates s holds is decided from them (see leafScores). Otherwise,
+// with a distance oracle installed (swap games have no edge-cost term, so
+// costs are pure distances) each target is first checked against its
+// oracle bound; hopeless targets cost no search at all, and the
+// neighbour-row preparation itself is deferred until some target survives
+// — a happy agent is then certified without a single BFS. With a landmark
+// oracle instead, one probe search arms the triangle-inequality filter
+// (see landmark.go), and again the neighbour rows are only built once some
+// target's bound survives.
 func swapAny(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch) bool {
+	if res := s.leafSums(b, g, u, drops, model); res != nil {
+		cur := swapPrepare(b, g, u, drops, model, s)
+		s.leafScores(g.N(), res)
+		for _, dist := range s.score {
+			if dist < cur.Dist {
+				return true
+			}
+		}
+		return false
+	}
 	if model == modelSwap && s.oracle == nil && s.lmk != nil {
 		s.buf = drops(g, u, s.buf[:0])
 		if len(s.buf) == 0 {
@@ -201,13 +249,18 @@ func swapAny(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *
 func swapScan(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch, dst []Move) []Move {
 	s.pool = s.pool[:0]
 	cur := swapPrepare(b, g, u, drops, model, s)
-	prune := model == modelSwap && s.oracle != nil
-	lmPrune := model == modelSwap && s.oracle == nil && s.lmk != nil &&
+	leaf := s.leafSums(b, g, u, drops, model)
+	if leaf != nil {
+		s.leafScores(g.N(), leaf)
+	}
+	prune := leaf == nil && model == modelSwap && s.oracle != nil
+	lmPrune := leaf == nil && model == modelSwap && s.oracle == nil && s.lmk != nil &&
 		s.lmArm(u, b.kind)
-	// At scale the surviving targets are scored up front through the
-	// batched kernel; the emission loop below then only looks scores up,
-	// in unchanged order.
-	lmScore := lmPrune && s.lmBatchScores(g, u, b.kind, cur.Dist, true)
+	// A leaf's scores come from the aggregates; at scale the targets that
+	// survive the landmark bound are scored up front through the batched
+	// kernel. The emission loop below then only looks scores up, in
+	// unchanged order.
+	scored := leaf != nil || lmPrune && s.lmBatchScores(g, u, b.kind, cur.Dist, true)
 	nt := len(s.buf2)
 	for xi, x := range s.buf {
 		halves := deltaSwapHalves(g, u, x, model)
@@ -229,8 +282,8 @@ func swapScan(b *base, g graph.Store, u int, drops dropFunc, model costModel, s 
 				continue
 			}
 			var dist int64
-			if lmScore {
-				dist = s.lm.score[xi*nt+yi]
+			if scored {
+				dist = s.score[xi*nt+yi]
 			} else {
 				dist = s.deltaSwapDist(g, u, x, y, b.kind)
 			}
@@ -250,12 +303,16 @@ func swapBest(b *base, g graph.Store, u int, drops dropFunc, model costModel, s 
 	cur := swapPrepare(b, g, u, drops, model, s)
 	best := cur
 	start := len(dst)
-	prune := model == modelSwap && s.oracle != nil
-	lmPrune := model == modelSwap && s.oracle == nil && s.lmk != nil &&
+	leaf := s.leafSums(b, g, u, drops, model)
+	if leaf != nil {
+		s.leafScores(g.N(), leaf)
+	}
+	prune := leaf == nil && model == modelSwap && s.oracle != nil
+	lmPrune := leaf == nil && model == modelSwap && s.oracle == nil && s.lmk != nil &&
 		s.lmArm(u, b.kind)
 	// The running best only descends from cur, so the non-strict memo set
 	// (bound <= cur) covers every pair the emission loop keeps.
-	lmScore := lmPrune && s.lmBatchScores(g, u, b.kind, cur.Dist, false)
+	scored := leaf != nil || lmPrune && s.lmBatchScores(g, u, b.kind, cur.Dist, false)
 	nt := len(s.buf2)
 	for xi, x := range s.buf {
 		halves := deltaSwapHalves(g, u, x, model)
@@ -278,8 +335,8 @@ func swapBest(b *base, g graph.Store, u int, drops dropFunc, model costModel, s 
 				continue
 			}
 			var dist int64
-			if lmScore {
-				dist = s.lm.score[xi*nt+yi]
+			if scored {
+				dist = s.score[xi*nt+yi]
 			} else {
 				dist = s.deltaSwapDist(g, u, x, y, b.kind)
 			}

@@ -8,7 +8,9 @@
 //	Observation 2.9/2.12/2.13, Lemma 2.6/2.8 (tree structure facts)
 //	Theorem 2.16   MAX-SG best response cycle (via internal/cycles)
 //	Corollary 3.1  (A)SG on trees converge in O(n^3)
-//	Corollary 3.2  ASG on trees + max cost policy step bounds
+//	Corollary 3.2  ASG on trees + max cost policy step bounds; its median
+//	               argument: a SUM leaf's best swaps reach the 1-medians of
+//	               G-u (oracle: internal/median)
 //	Theorem 3.3    SUM-ASG not weakly acyclic under best response
 //	Theorem 3.5    MAX-ASG admits best response cycles
 //	Theorem 3.7    unit-budget ASG best response cycles
