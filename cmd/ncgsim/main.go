@@ -16,9 +16,9 @@
 // grid (or an overridden one), streaming per-trial records to optional
 // JSONL/CSV sinks and printing the summary table; -resume continues an
 // interrupted run from a partial -jsonl file, re-running only the missing
-// trials. "sweep" is "run" with a mandatory explicit n-grid. "fig"
-// regenerates an empirical figure (7, 8, 11-14) as the text tables of the
-// paper's plots.
+// trials (a -csv file given with it is rewritten with every trial).
+// "sweep" is "run" with a mandatory explicit n-grid. "fig" regenerates an
+// empirical figure (7, 8, 11-14) as the text tables of the paper's plots.
 //
 // All runs are deterministic: records and tables depend only on the seed,
 // never on worker count or shard size.
@@ -69,6 +69,7 @@ Usage:
         -jsonl path stream per-trial records as JSON lines
         -csv path   stream per-trial records as CSV
         -resume     continue an interrupted run from the -jsonl file
+                    (a -csv file is rewritten with every trial)
         -cpuprofile path  write a CPU profile of the run (go tool pprof)
         -memprofile path  write a heap profile taken after the run
 
@@ -270,12 +271,6 @@ func (a *app) cmdRun(args []string, gridRequired bool) {
 	}
 	if *resume && *jsonlPath == "" {
 		a.Fail("-resume needs -jsonl")
-	}
-	if *resume && *csvPath != "" {
-		// Recovered trials are never re-emitted, so a fresh CSV would
-		// silently miss them; regenerate the CSV from the complete JSONL
-		// instead.
-		a.Fail("-resume cannot rebuild a -csv file (recovered trials are not re-emitted); resume with -jsonl only")
 	}
 	// An infeasible agent count (explicit or scenario default) is a usage
 	// error, caught before any trial runs.

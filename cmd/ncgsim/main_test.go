@@ -109,3 +109,45 @@ func TestFigSmoke(t *testing.T) {
 		t.Errorf("figure output incomplete:\n%s", out)
 	}
 }
+
+// TestResumeRebuildsCSV: a -resume run hands every trial, recovered ones
+// included, to a fresh -csv file, so the CSV equals the uninterrupted
+// run's CSV.
+func TestResumeRebuildsCSV(t *testing.T) {
+	dir := t.TempDir()
+	jsonlPath, csvPath := filepath.Join(dir, "run.jsonl"), filepath.Join(dir, "run.csv")
+	args := []string{"run", "fig7-asg-sum-k2", "-nmin", "8", "-nmax", "12", "-nstep", "4", "-trials", "5", "-workers", "2"}
+	if code, _, errOut := runCmd(append(args, "-jsonl", jsonlPath, "-csv", csvPath)...); code != 0 {
+		t.Fatalf("run exit %d, stderr: %s", code, errOut)
+	}
+	full, err := os.ReadFile(jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCSV, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Truncate mid-line, then resume into a fresh CSV path.
+	if err := os.WriteFile(jsonlPath, full[:len(full)/2+5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumedCSV := filepath.Join(dir, "resumed.csv")
+	code, _, errOut := runCmd(append(args, "-resume", "-jsonl", jsonlPath, "-csv", resumedCSV)...)
+	if code != 0 {
+		t.Fatalf("resume exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(errOut, "trials recovered") {
+		t.Fatalf("resume reported no recovered trials: %s", errOut)
+	}
+	gotCSV, err := os.ReadFile(resumedCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Fatalf("resumed CSV differs from the uninterrupted run's:\n%s\nvs\n%s", gotCSV, wantCSV)
+	}
+	if resumed, err := os.ReadFile(jsonlPath); err != nil || !bytes.Equal(resumed, full) {
+		t.Fatalf("resumed JSONL differs from the uninterrupted run (%v)", err)
+	}
+}

@@ -1,9 +1,9 @@
-// Package campaign is the counterexample-hunt subsystem: one resumable
-// execution spine for every best-response-cycle search. A campaign fans a
-// grid of pluggable instance samplers (structured cycle-pendant networks,
-// random trees, budget-k networks, random connected m-edge networks, the
-// rl/dl lines) crossed with game variants (SUM/MAX x SG/ASG/GBG/BG) over a
-// worker pool. Every (sampler, variant, instance) triple owns a splitmix64
+// Package campaign is the counterexample-hunt subsystem: every
+// best-response-cycle search as a task on the record spine
+// (internal/spine). A campaign fans a grid of pluggable instance samplers
+// (structured cycle-pendant networks, random trees, budget-k networks,
+// random connected m-edge networks, the rl/dl lines) crossed with game
+// variants (SUM/MAX x SG/ASG/GBG/BG) over a worker pool. Every (sampler, variant, instance) triple owns a splitmix64
 // seed stream — as in internal/ensemble — and runs through the interned
 // state-store explorer (cycles.SearchBestResponseCycle) under a
 // per-instance state cap. Results stream to sinks as JSONL records — hits

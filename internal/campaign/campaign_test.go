@@ -27,10 +27,10 @@ func testCampaign() Campaign {
 	}
 }
 
-func runJSONL(t *testing.T, c Campaign, opt Options) (string, Summary) {
+func runJSONL(t *testing.T, c Campaign, opt Options, sinks ...Sink) (string, Summary) {
 	t.Helper()
 	var buf bytes.Buffer
-	sum, err := Run(c, opt, NewJSONLSink(&buf))
+	sum, err := Run(c, opt, append([]Sink{NewJSONLSink(&buf)}, sinks...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,9 @@ func TestResumeFromTruncatedJSONL(t *testing.T) {
 }
 
 // TestResumeRejectsForeignCheckpoint: resuming with records from another
-// campaign, seed or grid must fail instead of silently mixing runs.
+// campaign, seed or grid must fail instead of silently mixing runs, and so
+// must a larger budget that puts new instances of the first cells in
+// front of recovered records of later cells.
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	c := testCampaign()
 	full, _ := runJSONL(t, c, Options{})
@@ -183,8 +185,48 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	}
 	larger := c
 	larger.Instances = 8
-	if _, err := Run(larger, Options{Done: cp}); err != nil {
-		t.Fatalf("a larger instance budget must extend the checkpointed run: %v", err)
+	if _, err := Run(larger, Options{Done: cp}); err == nil {
+		t.Fatal("expected rejection for a larger budget that reorders the checkpoint")
+	}
+}
+
+// TestResumeExtendsPrefixCheckpoint: a larger instance budget extends a
+// checkpoint that stays a prefix of the larger run — a one-cell campaign,
+// or a grid where only the last cell's budget grows (the directed line is
+// a one-instance family) — into the uninterrupted larger run's file.
+func TestResumeExtendsPrefixCheckpoint(t *testing.T) {
+	oneCell := testCampaign()
+	oneCell.Samplers = oneCell.Samplers[:1]
+	oneCell.Variants = oneCell.Variants[:1]
+	lastCell := testCampaign()
+	lastCell.Samplers = []Sampler{DirectedLineSampler(), TreeSampler()}
+	lastCell.Variants = lastCell.Variants[:1]
+	for _, c := range []Campaign{oneCell, lastCell} {
+		c.Instances = 4
+		small, _ := runJSONL(t, c, Options{})
+		want, wantSum := runJSONL(t, c, Options{Instances: 6})
+		path := filepath.Join(t.TempDir(), "hunt.jsonl")
+		if err := os.WriteFile(path, []byte(small), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, sink, err := ResumeJSONL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := Run(c, Options{Instances: 6, Workers: 3, ShardSize: 2, Done: cp}, sink)
+		if err != nil {
+			t.Fatalf("%d cells: a prefix checkpoint must extend to the larger run: %v", len(wantSum.Cells), err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("%d cells: extended file differs from the uninterrupted larger run", len(wantSum.Cells))
+		}
+		if !reflect.DeepEqual(sum, wantSum) {
+			t.Fatalf("%d cells: extended summary %+v, want %+v", len(wantSum.Cells), sum, wantSum)
+		}
 	}
 }
 

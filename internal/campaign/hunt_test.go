@@ -1,18 +1,17 @@
-package hunt
+package campaign
 
 import (
 	"testing"
 
-	"ncg/internal/campaign"
 	"ncg/internal/cycles"
 	"ncg/internal/game"
 	"ncg/internal/gen"
 	"ncg/internal/graph"
 )
 
-func TestSampleCyclePendantNetworkInvariants(t *testing.T) {
+func TestSampleCyclePendantInvariants(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		g := SampleCyclePendantNetwork(seed)
+		g := SampleCyclePendant(gen.NewRand(seed))
 		if g == nil {
 			continue
 		}
@@ -33,9 +32,9 @@ func TestSampleCyclePendantNetworkInvariants(t *testing.T) {
 	}
 }
 
-func TestSampleDeterministic(t *testing.T) {
-	a := SampleCyclePendantNetwork(5)
-	b := SampleCyclePendantNetwork(5)
+func TestSampleCyclePendantDeterministic(t *testing.T) {
+	a := SampleCyclePendant(gen.NewRand(5))
+	b := SampleCyclePendant(gen.NewRand(5))
 	if (a == nil) != (b == nil) {
 		t.Fatal("nondeterministic sampling")
 	}
@@ -52,7 +51,7 @@ func TestSampleDeterministic(t *testing.T) {
 // silently counted them against maxInstances).
 func TestHuntMatchesSequentialReference(t *testing.T) {
 	const maxInstances, stateCap = 12, 150
-	res, searched, err := runHunt(game.Sum, 2, maxInstances, stateCap, campaign.Options{Workers: 3, ShardSize: 2})
+	res, searched, err := runHunt(game.Sum, 2, maxInstances, stateCap, Options{Workers: 3, ShardSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func sampleRef(seed int64, i int) *graph.Graph {
 		if a > 0 {
 			s = gen.Seed(seed, 0, 0, uint64(i), uint64(a))
 		}
-		if g := campaign.SampleCyclePendant(gen.NewRand(s)); g != nil {
+		if g := SampleCyclePendant(gen.NewRand(s)); g != nil {
 			return g
 		}
 	}
@@ -104,7 +103,7 @@ func TestHuntWorkerInvariance(t *testing.T) {
 		searched int
 	}
 	run := func(workers int) outcome {
-		res, searched, err := runHunt(game.Max, 7, 8, 120, campaign.Options{Workers: workers, ShardSize: 1})
+		res, searched, err := runHunt(game.Max, 7, 8, 120, Options{Workers: workers, ShardSize: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,15 +3,14 @@ package campaign
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"ncg/internal/cycles"
 	"ncg/internal/game"
 	"ncg/internal/graph"
 	"ncg/internal/jsonl"
+	"ncg/internal/spine"
 )
 
 // Move is the JSONL form of one cycle move.
@@ -147,117 +146,37 @@ func (r Record) DecodeCycle() (*cycles.FoundCycle, error) {
 
 // Sink consumes the per-instance records of a campaign run. Run delivers
 // records in deterministic (sampler, variant, instance) order from a
-// single goroutine, so sinks need no locking.
-type Sink interface {
-	Write(rec Record) error
-	// Close flushes buffered output and releases resources. Run closes
-	// every sink it was handed, whether or not the run succeeded.
-	Close() error
-}
+// single goroutine, so sinks need no locking; it closes every sink it was
+// handed, whether or not the run succeeded.
+type Sink = spine.Sink[Record]
 
 // FuncSink adapts a callback into a Sink, for in-memory consumers.
-type FuncSink func(rec Record) error
+type FuncSink = spine.FuncSink[Record]
 
-func (f FuncSink) Write(rec Record) error { return f(rec) }
-
-func (f FuncSink) Close() error { return nil }
-
-// JSONLSink streams records as one JSON object per line, the campaign's
-// checkpointable on-disk form.
-type JSONLSink struct {
-	jsonl.BufWriter
-	enc *json.Encoder
-	// fromCheckpoint marks the append-mode sink of ResumeJSONL: its file
-	// already contains the recovered records, so Run must not re-write
-	// them (every other sink receives the complete stream).
-	fromCheckpoint bool
-}
-
-// skipResumed implements the runner's resumeSkipper probe.
-func (s *JSONLSink) skipResumed() bool { return s.fromCheckpoint }
+// JSONLSink streams records as one JSON object per line (encoding/json
+// bytes), the campaign's checkpointable on-disk form.
+type JSONLSink = jsonl.Sink[Record]
 
 // NewJSONLSink writes JSONL records to w; if w is an io.Closer it is
 // closed with the sink.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{BufWriter: jsonl.NewBufWriter(w)}
-	s.enc = json.NewEncoder(s.W)
-	return s
-}
+func NewJSONLSink(w io.Writer) *JSONLSink { return jsonl.NewSink(w, jsonl.AppendJSON[Record]) }
 
 // CreateJSONL creates (or truncates) a JSONL record file.
 func CreateJSONL(path string) (*JSONLSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewJSONLSink(f), nil
-}
-
-func (s *JSONLSink) Write(rec Record) error { return s.enc.Encode(rec) }
-
-// cellKey identifies one instance across the grid, the checkpoint's unit.
-type cellKey struct {
-	sampler, variant string
-	instance         int
+	return jsonl.Create(path, jsonl.AppendJSON[Record])
 }
 
 // Checkpoint holds the instances recovered from a partial JSONL record
 // file. Passed to Run via Options.Done, those instances are folded into
 // the summary (and counted against Options.MaxHits) from their recorded
-// results instead of being re-searched; their records still flow to the
-// sinks in order, so in-memory consumers (hit collectors, SweepFamily)
-// see the complete stream — only the append-mode sink of ResumeJSONL
-// skips them.
-type Checkpoint struct {
-	recs map[cellKey]Record
-	// goodBytes is the file offset after the last complete, parseable
-	// line; anything beyond it is a truncated tail.
-	goodBytes int64
-}
+// results instead of being re-searched.
+type Checkpoint = jsonl.Checkpoint[instanceKey, Record]
 
-// Len returns the number of recovered instances.
-func (c *Checkpoint) Len() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.recs)
-}
-
-// record returns the recovered record of the instance.
-func (c *Checkpoint) record(sampler, variant string, instance int) (Record, bool) {
-	if c == nil {
-		return Record{}, false
-	}
-	rec, ok := c.recs[cellKey{sampler, variant, instance}]
-	return rec, ok
-}
-
-// String summarizes the checkpoint for logs.
-func (c *Checkpoint) String() string {
-	return fmt.Sprintf("checkpoint(%d instances)", c.Len())
-}
-
-// LoadCheckpoint parses a (possibly truncated) campaign JSONL record file
-// with the shared truncated-tail semantics of the ensemble spine: complete
-// lines become recovered instances, everything from the first torn or
-// unparseable line on is ignored, so resuming re-runs exactly the
+// LoadCheckpoint parses a (possibly truncated) campaign JSONL record file:
+// complete lines become recovered instances, everything from the first
+// torn or unparseable line on is ignored, so resuming re-runs exactly the
 // instances the file does not fully record.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	cp := &Checkpoint{recs: make(map[cellKey]Record)}
-	good, err := jsonl.ScanFile(path, func(line []byte) bool {
-		var rec Record
-		if json.Unmarshal(line, &rec) != nil || rec.Campaign == "" {
-			return false
-		}
-		cp.recs[cellKey{rec.Sampler, rec.Variant, rec.Instance}] = rec
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	cp.goodBytes = good
-	return cp, nil
-}
+func LoadCheckpoint(path string) (*Checkpoint, error) { return jsonl.LoadCheckpoint(path, recordKey) }
 
 // ResumeJSONL prepares a partial campaign record file for resumption: it
 // loads the checkpoint, truncates the torn tail and returns an append-mode
@@ -265,15 +184,11 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // completes the file exactly as an uninterrupted run would have written
 // it.
 func ResumeJSONL(path string) (*Checkpoint, *JSONLSink, error) {
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := jsonl.OpenResume(path, cp.goodBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	sink := NewJSONLSink(f)
-	sink.fromCheckpoint = true
-	return cp, sink, nil
+	return jsonl.Resume(path, recordKey, jsonl.AppendJSON[Record])
+}
+
+// recordKey keys a parsed checkpoint line, rejecting lines that are not
+// campaign records.
+func recordKey(rec Record) (instanceKey, bool) {
+	return instanceKey{rec.Campaign, rec.Sampler, rec.Variant, rec.Instance, rec.Seed}, rec.Campaign != ""
 }

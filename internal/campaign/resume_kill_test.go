@@ -4,7 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+
+	"ncg/internal/gen"
+	"ncg/internal/graph"
 )
 
 // killPoints enumerates every byte offset a crash is interesting at: each
@@ -26,6 +30,21 @@ func killPoints(full string) []int {
 	return cuts
 }
 
+// countSamples wraps every sampler of c to count Sample calls: a searched
+// instance draws its resamples plus one, an unsearched one its resamples.
+func countSamples(c Campaign) (Campaign, *atomic.Int64) {
+	var calls atomic.Int64
+	c.Samplers = append([]Sampler(nil), c.Samplers...)
+	for i := range c.Samplers {
+		sample := c.Samplers[i].Sample
+		c.Samplers[i].Sample = func(n, inst int, r *gen.Rand) *graph.Graph {
+			calls.Add(1)
+			return sample(n, inst, r)
+		}
+	}
+	return c, &calls
+}
+
 // TestResumeKillAnywhereEquivalence is the hunt spine's crash-equivalence
 // property: kill the run at ANY byte offset — every record boundary and
 // mid-record — and resuming from the surviving prefix completes the file
@@ -34,7 +53,11 @@ func killPoints(full string) []int {
 // record.
 func TestResumeKillAnywhereEquivalence(t *testing.T) {
 	c := testCampaign()
-	full, fullSum := runJSONL(t, c, Options{Workers: 2})
+	var recs []Record
+	full, fullSum := runJSONL(t, c, Options{Workers: 2}, FuncSink(func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	}))
 	dir := t.TempDir()
 	for _, cut := range killPoints(full) {
 		path := filepath.Join(dir, "run.jsonl")
@@ -45,9 +68,10 @@ func TestResumeKillAnywhereEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: ResumeJSONL: %v", cut, err)
 		}
-		recomputed := 0
-		sum, err := Run(c, Options{Workers: 3, ShardSize: 2, Done: cp}, sink,
-			FuncSink(func(Record) error { recomputed++; return nil }))
+		counted, calls := countSamples(c)
+		streamed := 0
+		sum, err := Run(counted, Options{Workers: 3, ShardSize: 2, Done: cp}, sink,
+			FuncSink(func(Record) error { streamed++; return nil }))
 		if err != nil {
 			t.Fatalf("cut=%d: resume run: %v", cut, err)
 		}
@@ -62,9 +86,19 @@ func TestResumeKillAnywhereEquivalence(t *testing.T) {
 			t.Fatalf("cut=%d: resumed summary differs: %+v vs %+v", cut, sum, fullSum)
 		}
 		// The complete stream reaches in-memory sinks, but only the missing
-		// instances were re-searched; the count pins no replay and no drop.
-		if want := c.Instances * len(c.Samplers) * len(c.Variants); recomputed != want {
-			t.Fatalf("cut=%d: %d records streamed, want %d", cut, recomputed, want)
+		// instances were re-searched; the counts pin no replay and no drop.
+		if want := c.Instances * len(c.Samplers) * len(c.Variants); streamed != want {
+			t.Fatalf("cut=%d: %d records streamed, want %d", cut, streamed, want)
+		}
+		var want int64
+		for _, rec := range recs[cp.Len():] {
+			want += int64(rec.Resamples)
+			if rec.Searched {
+				want++
+			}
+		}
+		if calls.Load() != want {
+			t.Fatalf("cut=%d: %d samples drawn, want %d for the %d missing instances", cut, calls.Load(), want, len(recs)-cp.Len())
 		}
 		if cp.Len() > 0 && cut == 0 {
 			t.Fatalf("empty prefix recovered %d instances", cp.Len())

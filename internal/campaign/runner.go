@@ -2,16 +2,13 @@ package campaign
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ncg/internal/cycles"
 	"ncg/internal/dynamics"
 	"ncg/internal/gen"
 	"ncg/internal/graph"
 	"ncg/internal/search"
+	"ncg/internal/spine"
 )
 
 // Options override a campaign's defaults and shape the execution.
@@ -39,15 +36,17 @@ type Options struct {
 	// count never changes results, only wall-clock time.
 	Workers int
 	// ShardSize is the number of consecutive instances a worker claims at
-	// once (0: automatic). The shard size never changes results.
+	// once (0: automatic, see spine.Layout). The shard size never changes
+	// results.
 	ShardSize int
 	// Done holds instances already searched (loaded from a partial JSONL
-	// record file); they are folded into the summary from their recorded
-	// results and not re-searched. Their records still reach every sink
-	// in stream order — except the append-mode sink of ResumeJSONL, whose
-	// file already contains them — so consumers see the complete run.
+	// record file), which must be a prefix of this run's grid order. They
+	// are folded into the summary (and counted against MaxHits) from their
+	// recorded results instead of being re-searched, and still reach every
+	// sink in stream order — except the append-mode sink of ResumeJSONL,
+	// whose file already holds them — so consumers see the complete run.
 	Done *Checkpoint
-	// Progress, if non-nil, runs on the collector goroutine after every
+	// Progress, if non-nil, runs on Run's goroutine after every
 	// emitted shard.
 	Progress func(p Progress)
 }
@@ -87,377 +86,107 @@ type Summary struct {
 	Instances, Searched, Hits int
 }
 
-// cell is one (sampler, variant) pair of the grid with its resolved
-// instance budget.
-type cell struct {
-	si, vi    int
-	instances int
-}
-
-// shard is a claimable instance range of one cell.
-type shard struct {
-	cellIdx int
-	lo, hi  int
-}
-
-// shardOut is a finished shard: records in instance order, resumed ones
-// marked so the resume-append sink does not duplicate them; truncated
-// marks a shard cut short by an abort, whose records are a valid prefix.
-type shardOut struct {
-	recs      []Record
-	resumed   []bool
-	err       error
-	truncated bool
-}
-
-// worker is the per-goroutine arena: the generator RNG and, for
-// candidate-check campaigns, the worker-owned checker closure.
-type worker struct {
-	rng   *gen.Rand
-	check func(g *graph.Graph) bool
-}
-
-// newWorkerArena builds one worker's execution arena; RunShard and the
-// pool of run share it so both paths search instances identically.
-func newWorkerArena(c *Campaign) *worker {
-	w := &worker{rng: gen.NewRand(0)}
-	if c.NewCheck != nil {
-		w.check = c.NewCheck()
-	}
-	return w
-}
-
-// flusher matches sinks that can push buffered records to their backing
-// store; Run flushes after every emitted shard so an interrupted campaign
-// leaves a maximal resumable checkpoint.
-type flusher interface {
-	Flush() error
-}
-
-// resumeSkipper matches the append-mode sink of ResumeJSONL, the only
-// sink that must not receive checkpoint-recovered records again.
-type resumeSkipper interface {
-	skipResumed() bool
-}
-
-// skipsResumed reports whether s already holds the recovered records.
-func skipsResumed(s Sink) bool {
-	rs, ok := s.(resumeSkipper)
-	return ok && rs.skipResumed()
-}
-
-// Run executes the campaign's (sampler, variant, instance) grid over a
-// sharded worker pool and streams the records to the sinks in
-// deterministic grid order; it closes every sink before returning.
-// Records, summary and the MaxHits cut are bit-identical for any Workers
-// and ShardSize. A checkpoint in opt.Done resumes a partial run,
-// re-searching only the missing instances.
-func Run(c Campaign, opt Options, sinks ...Sink) (Summary, error) {
-	sum, err := run(c, opt, sinks)
-	for _, s := range sinks {
-		if cerr := s.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return sum, err
-}
-
-func run(c Campaign, opt Options, sinks []Sink) (Summary, error) {
-	c, err := Resolve(c, opt)
-	if err != nil {
-		return Summary{}, err
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	cells := planCells(c)
-	total := 0
-	for _, cl := range cells {
-		total += cl.instances
-	}
-	if err := checkpointInside(opt.Done, c, cells); err != nil {
-		return Summary{}, err
-	}
-
-	shardSize := opt.ShardSize
-	if shardSize <= 0 {
-		// A few shards per worker for load balance, but bounded: the
-		// MaxHits cut can only land between completed shards' emissions,
-		// so giant shards would overshoot an early hit by a full shard of
-		// wasted instances (enumerated families run to millions).
-		shardSize = total / (4 * workers)
-		if shardSize < 1 {
-			shardSize = 1
-		}
-		if shardSize > 256 {
-			shardSize = 256
-		}
-	}
-	var shards []shard
-	for ci, cl := range cells {
-		for lo := 0; lo < cl.instances; lo += shardSize {
-			hi := lo + shardSize
-			if hi > cl.instances {
-				hi = cl.instances
-			}
-			shards = append(shards, shard{cellIdx: ci, lo: lo, hi: hi})
-		}
-	}
-
-	sum := Summary{Campaign: c.Name, Cells: make([]Aggregate, len(cells))}
-	for i, cl := range cells {
-		sum.Cells[i] = Aggregate{Sampler: c.Samplers[cl.si].Name, Variant: c.Variants[cl.vi].Name}
-	}
-
-	var abort atomic.Bool
-	if ctx := opt.Context; ctx != nil {
-		// The watcher flips the same abort latch an error or the MaxHits
-		// cut uses: in-flight shards stop at their next instance boundary
-		// and the emit loop flushes everything already ordered, so the
-		// sinks hold a maximal resumable prefix when Run returns.
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				abort.Store(true)
-			case <-watchDone:
-			}
-		}()
-	}
-	runShard := func(sh shard, w *worker) shardOut {
-		out := shardOut{
-			recs:    make([]Record, 0, sh.hi-sh.lo),
-			resumed: make([]bool, 0, sh.hi-sh.lo),
-		}
-		cl := cells[sh.cellIdx]
-		smp := &c.Samplers[cl.si]
-		v := &c.Variants[cl.vi]
-		for inst := sh.lo; inst < sh.hi; inst++ {
-			if abort.Load() {
-				out.truncated = true
-				return out
-			}
-			if opt.Done != nil {
-				if rec, ok := opt.Done.record(smp.Name, v.Name, inst); ok {
-					if rec.Campaign != c.Name || rec.Seed != instanceSeed(c.Seed, cl.si, cl.vi, inst, 0) {
-						out.err = fmt.Errorf("campaign: checkpoint record %s/%s #%d is from campaign %q seed %d, not this run",
-							smp.Name, v.Name, inst, rec.Campaign, rec.Seed)
-						return out
-					}
-					out.recs = append(out.recs, rec)
-					out.resumed = append(out.resumed, true)
-					continue
-				}
-			}
-			rec, err := safeInstance(&c, smp, v, cl.si, cl.vi, inst, w)
-			if err != nil {
-				out.err = err
-				return out
-			}
-			out.recs = append(out.recs, rec)
-			out.resumed = append(out.resumed, false)
-		}
-		return out
-	}
-
-	next := make(chan int)
-	finished := make(chan int, workers)
-	pending := make([]*shardOut, len(shards))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	go func() {
-		for i := range shards {
-			next <- i
-		}
-		close(next)
-	}()
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := newWorkerArena(&c)
-			for i := range next {
-				var out shardOut
-				if abort.Load() {
-					// The run is already cut (MaxHits, an error or a sink
-					// failure); later shards are never emitted, so skip
-					// their work entirely.
-					out.truncated = true
-				} else {
-					out = runShard(shards[i], w)
-				}
-				if out.err != nil {
-					abort.Store(true)
-				}
-				mu.Lock()
-				pending[i] = &out
-				mu.Unlock()
-				finished <- i
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(finished)
-	}()
-
-	// Replay finished shards to the sinks strictly in shard (hence grid)
-	// order as they become available. The MaxHits cut happens here, on the
-	// deterministic stream: everything after the MaxHits-th hit — within
-	// the shard and beyond — is dropped from sinks and summary alike, so
-	// the result is identical at any worker count.
-	var firstErr error
-	stopSinks := false
-	capped := false
-	hits := 0
-	nextEmit := 0
-	emitReady := func() {
-		for nextEmit < len(shards) {
-			mu.Lock()
-			out := pending[nextEmit]
-			mu.Unlock()
-			if out == nil {
-				return
-			}
-			sh := shards[nextEmit]
-			agg := &sum.Cells[sh.cellIdx]
-			for j, rec := range out.recs {
-				if capped {
-					break
-				}
-				agg.add(rec)
-				if !stopSinks && firstErr == nil {
-					for _, s := range sinks {
-						if out.resumed[j] && skipsResumed(s) {
-							continue
-						}
-						if err := s.Write(rec); err != nil && firstErr == nil {
-							firstErr = err
-							abort.Store(true)
-						}
-					}
-				}
-				if rec.Hit {
-					hits++
-					if opt.MaxHits > 0 && hits >= opt.MaxHits {
-						capped = true
-						abort.Store(true)
-					}
-				}
-			}
-			// Stop sink output at the first failed or truncated shard: its
-			// records still precede the cut, but emitting anything after it
-			// would leave an interior gap a checkpoint resume could not
-			// fill in order.
-			if firstErr != nil || out.err != nil || (out.truncated && !capped) {
-				stopSinks = true
-			}
-			if out.err != nil && firstErr == nil {
-				firstErr = out.err
-			}
-			for _, s := range sinks {
-				if f, ok := s.(flusher); ok {
-					if err := f.Flush(); err != nil && firstErr == nil {
-						firstErr = err
-						abort.Store(true)
-					}
-				}
-			}
-			nextEmit++
-			if opt.Progress != nil {
-				searched, nHits := 0, 0
-				for i := range sum.Cells {
-					searched += sum.Cells[i].Searched
-					nHits += sum.Cells[i].Hits
-				}
-				opt.Progress(Progress{
-					Sampler:  agg.Sampler,
-					Variant:  agg.Variant,
-					Lo:       sh.lo,
-					Hi:       sh.hi,
-					Searched: searched,
-					Hits:     nHits,
-					Done:     nextEmit,
-					Shards:   len(shards),
-				})
-			}
-		}
-	}
-	for range finished {
-		emitReady()
-	}
-	emitReady()
-	for i := range sum.Cells {
-		sum.Instances += sum.Cells[i].Instances
-		sum.Searched += sum.Cells[i].Searched
-		sum.Hits += sum.Cells[i].Hits
-	}
-	if firstErr == nil && opt.Context != nil {
-		// A cancelled run is reported as such even though the partial
-		// stream is valid: callers distinguish "interrupted, resume later"
-		// from a completed hunt.
-		firstErr = opt.Context.Err()
-	}
-	if firstErr != nil {
-		return sum, firstErr
-	}
-	return sum, nil
-}
-
-// add folds one record into the cell aggregate.
-func (a *Aggregate) add(rec Record) {
+// add folds one record into the summary.
+func (s *Summary) add(cell int, rec Record) {
+	a := &s.Cells[cell]
 	a.Instances++
+	s.Instances++
 	if rec.Searched {
 		a.Searched++
+		s.Searched++
 	}
 	if rec.Hit {
 		a.Hits++
+		s.Hits++
 	}
 	a.Resamples += rec.Resamples
 	a.SumStates += int64(rec.States)
 }
 
-// checkpointInside rejects a checkpoint containing instances outside this
-// run's grid: their records would be stranded in the output file, never
-// enumerated and never aggregated.
-func checkpointInside(cp *Checkpoint, c Campaign, cells []cell) error {
-	if cp == nil {
-		return nil
-	}
-	budget := make(map[[2]string]int, len(cells))
-	for _, cl := range cells {
-		budget[[2]string{c.Samplers[cl.si].Name, c.Variants[cl.vi].Name}] = cl.instances
-	}
-	for k := range cp.recs {
-		instances, ok := budget[[2]string{k.sampler, k.variant}]
-		if !ok || k.instance >= instances {
-			return fmt.Errorf("campaign: checkpoint record %s/%s #%d lies outside this run's grid; resume with the original grid",
-				k.sampler, k.variant, k.instance)
-		}
-	}
-	return nil
+// instanceKey identifies one instance of a campaign: the key a checkpoint
+// record must carry to stand for it.
+type instanceKey struct {
+	Campaign, Sampler, Variant string
+	Instance                   int
+	Seed                       int64
 }
 
-// safeInstance searches one instance, converting sampler or game panics
-// into errors so a bad configuration fails the campaign instead of
-// crashing the pool.
-func safeInstance(c *Campaign, smp *Sampler, v *Variant, si, vi, inst int, w *worker) (rec Record, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("campaign: %q %s/%s instance %d: %v", c.Name, smp.Name, v.Name, inst, r)
+// task defines a resolved campaign's items for the spine executor: one
+// cell per (sampler, variant) pair in grid order, holding the cell's
+// instances. Run and RunShard both execute instances through it.
+func task(c *Campaign) spine.Task[instanceKey, Record] {
+	return spine.Task[instanceKey, Record]{
+		Name:  "campaign",
+		Cells: budgets(*c),
+		Key: func(cell, inst int) instanceKey {
+			si, vi := c.cell(cell)
+			return instanceKey{c.Name, c.Samplers[si].Name, c.Variants[vi].Name, inst, instanceSeed(c.Seed, si, vi, inst, 0)}
+		},
+		// A worker's arena is the generator RNG and, for candidate-check
+		// campaigns, its own checker closure.
+		NewWorker: func() func(cell, inst int) Record {
+			r := gen.NewRand(0)
+			var check func(*graph.Graph) bool
+			if c.NewCheck != nil {
+				check = c.NewCheck()
+			}
+			return func(cell, inst int) Record {
+				si, vi := c.cell(cell)
+				return runInstance(c, si, vi, inst, r, check)
+			}
+		},
+	}
+}
+
+// Run executes the campaign's (sampler, variant, instance) grid on the
+// spine executor and streams the records to the sinks in deterministic
+// grid order; it closes every sink before returning. Records, summary and
+// the MaxHits cut are bit-identical for any Workers and ShardSize. A
+// checkpoint in opt.Done resumes a partial run, re-searching only the
+// missing instances.
+func Run(c Campaign, opt Options, sinks ...Sink) (sum Summary, err error) {
+	defer func() { err = spine.Close(sinks, err) }()
+	if c, err = Resolve(c, opt); err != nil {
+		return Summary{}, err
+	}
+	t := task(&c)
+	sum = Summary{Campaign: c.Name, Cells: make([]Aggregate, len(t.Cells))}
+	for i := range sum.Cells {
+		si, vi := c.cell(i)
+		sum.Cells[i] = Aggregate{Sampler: c.Samplers[si].Name, Variant: c.Variants[vi].Name}
+	}
+	t.Workers, t.ShardSize, t.Context, t.Done = opt.Workers, opt.ShardSize, opt.Context, opt.Done
+	// The MaxHits cut happens on the ordered stream, so it lands on the
+	// same record at any worker count.
+	t.Fold = func(cell int, rec Record) bool {
+		sum.add(cell, rec)
+		return rec.Hit && opt.MaxHits > 0 && sum.Hits >= opt.MaxHits
+	}
+	if opt.Progress != nil {
+		t.Progress = func(sh spine.Shard, done, shards int) {
+			agg := &sum.Cells[sh.Cell]
+			opt.Progress(Progress{
+				Sampler:  agg.Sampler,
+				Variant:  agg.Variant,
+				Lo:       sh.Lo,
+				Hi:       sh.Hi,
+				Searched: sum.Searched,
+				Hits:     sum.Hits,
+				Done:     done,
+				Shards:   shards,
+			})
 		}
-	}()
-	return runInstance(c, smp, v, si, vi, inst, w), nil
+	}
+	err = spine.Run(t, sinks...)
+	return sum, err
 }
 
 // runInstance samples (with degenerate redraws from fresh derived seeds)
 // and searches one instance. The record depends only on the campaign
 // configuration and the (sampler, variant, instance) triple, never on
 // sharding or scheduling.
-func runInstance(c *Campaign, smp *Sampler, v *Variant, si, vi, inst int, w *worker) Record {
+func runInstance(c *Campaign, si, vi, inst int, r *gen.Rand, check func(*graph.Graph) bool) Record {
+	smp, v := &c.Samplers[si], &c.Variants[vi]
 	rec := Record{
 		Campaign: c.Name,
 		Sampler:  smp.Name,
@@ -473,8 +202,8 @@ func runInstance(c *Campaign, smp *Sampler, v *Variant, si, vi, inst int, w *wor
 		g = smp.Sample(c.N, inst, nil)
 	} else {
 		for a := 0; a <= c.MaxResamples; a++ {
-			w.rng.Seed(instanceSeed(c.Seed, si, vi, inst, a))
-			if g = smp.Sample(c.N, inst, w.rng); g != nil {
+			r.Seed(instanceSeed(c.Seed, si, vi, inst, a))
+			if g = smp.Sample(c.N, inst, r); g != nil {
 				break
 			}
 			rec.Resamples++
@@ -485,8 +214,8 @@ func runInstance(c *Campaign, smp *Sampler, v *Variant, si, vi, inst int, w *wor
 	}
 	rec.N = g.N()
 	rec.Searched = true
-	if w.check != nil {
-		if w.check(g) {
+	if check != nil {
+		if check(g) {
 			rec.Hit = true
 			rec.Start = EncodeGraph(g)
 			rec.CycleStart = rec.Start

@@ -5,7 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
+
+	"ncg/internal/jsonl"
+	"ncg/internal/spine"
 )
 
 // ShardRef identifies one contiguous instance range [Lo, Hi) of a grid
@@ -49,26 +53,32 @@ func Resolve(c Campaign, opt Options) (Campaign, error) {
 	return c, nil
 }
 
-// planCells lays out the resolved campaign's grid cells in deterministic
-// (sampler, variant) order with their clamped instance budgets.
-func planCells(c Campaign) []cell {
-	var cells []cell
-	for si := range c.Samplers {
-		for vi := range c.Variants {
+// budgets returns the instance budget of every grid cell in
+// deterministic (sampler, variant) order: the campaign's Instances,
+// clamped to an enumerated sampler's Total.
+func budgets(c Campaign) []int {
+	cells := make([]int, 0, len(c.Samplers)*len(c.Variants))
+	for _, smp := range c.Samplers {
+		for range c.Variants {
 			instances := c.Instances
-			if t := c.Samplers[si].Total; t > 0 && instances > t {
-				instances = t
+			if smp.Total > 0 {
+				instances = min(instances, smp.Total)
 			}
-			cells = append(cells, cell{si: si, vi: vi, instances: instances})
+			cells = append(cells, instances)
 		}
 	}
 	return cells
 }
 
+// cell returns the sampler and variant indices of grid cell i.
+func (c *Campaign) cell(i int) (si, vi int) {
+	return i / len(c.Variants), i % len(c.Variants)
+}
+
 // Plan decomposes a resolved campaign into its shard list: cells in grid
-// order, each cut into ranges of shardSize instances. Concatenating the
-// shards' record streams in plan order reproduces the single-process
-// Run stream exactly, for any shardSize.
+// order, each cut into ranges of shardSize instances (spine.Layout).
+// Concatenating the shards' record streams in plan order reproduces the
+// single-process Run stream exactly, for any shardSize.
 func Plan(c Campaign, shardSize int) ([]ShardRef, error) {
 	if shardSize <= 0 {
 		return nil, fmt.Errorf("campaign: shard size must be positive, got %d", shardSize)
@@ -77,15 +87,9 @@ func Plan(c Campaign, shardSize int) ([]ShardRef, error) {
 		return nil, err
 	}
 	var refs []ShardRef
-	for _, cl := range planCells(c) {
-		smp, v := c.Samplers[cl.si].Name, c.Variants[cl.vi].Name
-		for lo := 0; lo < cl.instances; lo += shardSize {
-			hi := lo + shardSize
-			if hi > cl.instances {
-				hi = cl.instances
-			}
-			refs = append(refs, ShardRef{Sampler: smp, Variant: v, Lo: lo, Hi: hi})
-		}
+	for _, sh := range spine.Layout(budgets(c), shardSize, 1) {
+		si, vi := c.cell(sh.Cell)
+		refs = append(refs, ShardRef{Sampler: c.Samplers[si].Name, Variant: c.Variants[vi].Name, Lo: sh.Lo, Hi: sh.Hi})
 	}
 	return refs, nil
 }
@@ -130,28 +134,17 @@ func Fingerprint(c Campaign) string {
 // re-leased. onInstance, if non-nil, runs before each instance — the
 // worker's drain and fault-injection seam.
 func RunShard(ctx context.Context, c Campaign, ref ShardRef, onInstance func(inst int) error) ([]Record, error) {
-	si, vi := -1, -1
-	for i := range c.Samplers {
-		if c.Samplers[i].Name == ref.Sampler {
-			si = i
-		}
-	}
-	for i := range c.Variants {
-		if c.Variants[i].Name == ref.Variant {
-			vi = i
-		}
-	}
+	si := slices.IndexFunc(c.Samplers, func(smp Sampler) bool { return smp.Name == ref.Sampler })
+	vi := slices.IndexFunc(c.Variants, func(v Variant) bool { return v.Name == ref.Variant })
 	if si < 0 || vi < 0 {
 		return nil, fmt.Errorf("campaign: shard %s names no cell of campaign %q", ref, c.Name)
 	}
-	instances := c.Instances
-	if t := c.Samplers[si].Total; t > 0 && instances > t {
-		instances = t
-	}
-	if ref.Lo < 0 || ref.Hi > instances || ref.Lo >= ref.Hi {
+	t := task(&c)
+	cell := si*len(c.Variants) + vi
+	if instances := t.Cells[cell]; ref.Lo < 0 || ref.Hi > instances || ref.Lo >= ref.Hi {
 		return nil, fmt.Errorf("campaign: shard %s lies outside the cell's %d instances", ref, instances)
 	}
-	w := newWorkerArena(&c)
+	item := t.NewWorker()
 	recs := make([]Record, 0, ref.Hi-ref.Lo)
 	for inst := ref.Lo; inst < ref.Hi; inst++ {
 		if err := ctx.Err(); err != nil {
@@ -162,7 +155,7 @@ func RunShard(ctx context.Context, c Campaign, ref ShardRef, onInstance func(ins
 				return nil, err
 			}
 		}
-		rec, err := safeInstance(&c, &c.Samplers[si], &c.Variants[vi], si, vi, inst, w)
+		rec, err := t.Call(item, cell, inst)
 		if err != nil {
 			return nil, err
 		}
@@ -171,19 +164,18 @@ func RunShard(ctx context.Context, c Campaign, ref ShardRef, onInstance func(ins
 	return recs, nil
 }
 
-// MarshalRecords encodes records exactly as the JSONL sink writes them —
-// one json.Encoder line per record — so a worker's upload, the
-// coordinator's shard files and the merged stream are all byte-compatible
-// with a single-process Run into a JSONLSink.
+// MarshalRecords encodes records exactly as the JSONL sink writes them, so
+// a worker's upload, the coordinator's shard files and the merged stream
+// are all byte-compatible with a single-process Run into a JSONLSink.
 func MarshalRecords(recs []Record) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	var buf []byte
 	for _, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+		var err error
+		if buf, err = jsonl.AppendJSON(buf, rec); err != nil {
 			return nil, err
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // UnmarshalRecords parses a complete shard upload: every line must be a

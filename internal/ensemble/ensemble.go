@@ -1,9 +1,9 @@
-// Package ensemble is the execution spine for every game variant: a
-// registry of named scenarios (game x alpha schedule x policy x tie-break
-// x initial-network ensemble) and a sharded trial executor that fans trial
-// ranges over a worker pool with per-trial deterministic seed streams,
-// streams per-trial records to pluggable sinks (JSONL, CSV, callbacks) and
-// resumes from partial JSONL checkpoints. Results are bit-identical for
+// Package ensemble runs seeded trial ensembles of every game variant on
+// the record spine (internal/spine): a registry of named scenarios (game x
+// alpha schedule x policy x tie-break x initial-network ensemble) and the
+// trial task that fans trial ranges over a worker pool with per-trial
+// deterministic seed streams, streams per-trial records to pluggable sinks
+// (JSONL, CSV, callbacks) and resumes from partial JSONL checkpoints. Results are bit-identical for
 // any worker count and any shard size; the empirical figures of the paper
 // (internal/experiments) are thin queries over this spine.
 package ensemble

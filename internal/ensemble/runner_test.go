@@ -6,9 +6,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ncg/internal/dynamics"
+	"ncg/internal/gen"
+	"ncg/internal/graph"
 )
 
 // testScenario is a small, fast ASG workload exercising both the budget
@@ -19,6 +22,39 @@ func testScenario() Scenario {
 		panic("test scenario not registered")
 	}
 	return sc
+}
+
+// countTrials wraps the scenario's initial-network ensemble, which every
+// executed trial draws from exactly once, to count the trials a run
+// actually executes.
+func countTrials(sc Scenario) (Scenario, *atomic.Int64) {
+	var runs atomic.Int64
+	draw := sc.NewInitial
+	sc.NewInitial = func(n int, r *gen.Rand) *graph.Graph {
+		runs.Add(1)
+		return draw(n, r)
+	}
+	return sc, &runs
+}
+
+// streamOrder returns a sink checking that it receives the complete
+// (n, trial) stream of the grid in order; call the returned func after
+// the run to check completeness.
+func streamOrder(t *testing.T, ns []int, trials int) (Sink, func()) {
+	seen := 0
+	sink := FuncSink(func(rec Record) error {
+		if rec.N != ns[seen/trials] || rec.Trial != seen%trials {
+			t.Errorf("record %d is n=%d trial=%d, out of stream order", seen, rec.N, rec.Trial)
+		}
+		seen++
+		return nil
+	})
+	return sink, func() {
+		t.Helper()
+		if seen != len(ns)*trials {
+			t.Errorf("companion sink saw %d records, want the full %d", seen, len(ns)*trials)
+		}
+	}
 }
 
 func runJSONL(t *testing.T, sc Scenario, opt Options) (string, Summary) {
@@ -117,12 +153,13 @@ func TestResumeFromTruncatedJSONL(t *testing.T) {
 	if cp.Len() == 0 || cp.Len() >= len(opt.Ns)*opt.Trials {
 		t.Fatalf("checkpoint recovered %d trials from a half file", cp.Len())
 	}
-	recomputed := 0
-	count := FuncSink(func(Record) error { recomputed++; return nil })
-	sum, err := Execute(sc, Options{Ns: opt.Ns, Trials: opt.Trials, Seed: opt.Seed, Workers: 3, ShardSize: 2, Done: cp}, sink, count)
+	counted, runs := countTrials(sc)
+	companion, complete := streamOrder(t, opt.Ns, opt.Trials)
+	sum, err := Execute(counted, Options{Ns: opt.Ns, Trials: opt.Trials, Seed: opt.Seed, Workers: 3, ShardSize: 2, Done: cp}, sink, companion)
 	if err != nil {
 		t.Fatal(err)
 	}
+	complete()
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -133,8 +170,8 @@ func TestResumeFromTruncatedJSONL(t *testing.T) {
 	if !reflect.DeepEqual(sum, fullSum) {
 		t.Fatalf("resumed summary differs: %+v vs %+v", sum, fullSum)
 	}
-	if want := len(opt.Ns)*opt.Trials - cp.Len(); recomputed != want {
-		t.Fatalf("resume recomputed %d trials, want %d", recomputed, want)
+	if want := int64(len(opt.Ns)*opt.Trials - cp.Len()); runs.Load() != want {
+		t.Fatalf("resume executed %d trials, want %d", runs.Load(), want)
 	}
 }
 
@@ -274,9 +311,11 @@ func TestSinkErrorLeavesCleanPrefix(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedGrid checks that a checkpoint recorded under
-// a different grid or trial count is refused instead of leaving stranded
-// records interleaved in the output.
+// TestResumeRejectsMismatchedGrid checks that a checkpoint that is not a
+// prefix of the run's (n, trial) order is refused instead of leaving
+// stranded or misordered records in the output: a smaller grid or trial
+// count, and a larger trial count that puts new n=8 trials in front of
+// the recovered n=12 ones.
 func TestResumeRejectsMismatchedGrid(t *testing.T) {
 	sc := testScenario()
 	full, _ := runJSONL(t, sc, Options{Ns: []int{8, 12}, Trials: 6, Seed: 5})
@@ -294,8 +333,46 @@ func TestResumeRejectsMismatchedGrid(t *testing.T) {
 	if _, err := Execute(sc, Options{Ns: []int{8}, Trials: 6, Seed: 5, Done: cp}); err == nil {
 		t.Fatal("expected rejection for a smaller grid")
 	}
-	if _, err := Execute(sc, Options{Ns: []int{8, 12}, Trials: 8, Seed: 5, Done: cp}); err != nil {
-		t.Fatalf("a larger trial count must extend the checkpointed run: %v", err)
+	if _, err := Execute(sc, Options{Ns: []int{8, 12}, Trials: 8, Seed: 5, Done: cp}); err == nil {
+		t.Fatal("expected rejection for a larger trial count that reorders the checkpoint")
+	}
+}
+
+// TestResumeExtendsPrefixCheckpoint: a larger trial count extends a
+// checkpoint that stays a prefix of the larger run — a one-cell grid, or
+// a file cut inside the first cell — into the uninterrupted larger run's
+// file, byte for byte.
+func TestResumeExtendsPrefixCheckpoint(t *testing.T) {
+	sc := testScenario()
+	for _, tc := range []struct {
+		ns    []int
+		lines int
+	}{{[]int{8}, 6}, {[]int{8, 12}, 4}} {
+		small, _ := runJSONL(t, sc, Options{Ns: tc.ns, Trials: 6, Seed: 5})
+		want, wantSum := runJSONL(t, sc, Options{Ns: tc.ns, Trials: 8, Seed: 5})
+		lines := strings.SplitAfter(small, "\n")
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, []byte(strings.Join(lines[:tc.lines], "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, sink, err := ResumeJSONL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := Execute(sc, Options{Ns: tc.ns, Trials: 8, Seed: 5, Workers: 3, ShardSize: 2, Done: cp}, sink)
+		if err != nil {
+			t.Fatalf("ns=%v: a prefix checkpoint must extend to the larger run: %v", tc.ns, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("ns=%v: extended file differs from the uninterrupted larger run", tc.ns)
+		}
+		if !reflect.DeepEqual(sum, wantSum) {
+			t.Fatalf("ns=%v: extended summary %+v, want %+v", tc.ns, sum, wantSum)
+		}
 	}
 }
 

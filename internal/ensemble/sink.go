@@ -1,12 +1,11 @@
 package ensemble
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 	"strconv"
 
 	"ncg/internal/jsonl"
+	"ncg/internal/spine"
 )
 
 // Record is the result of one trial, the unit streamed to sinks. Field
@@ -25,60 +24,68 @@ type Record struct {
 
 // Sink consumes the per-trial records of an ensemble run. Execute delivers
 // records in deterministic (n, trial) order from a single goroutine, so
-// sinks need no locking.
-type Sink interface {
-	Write(rec Record) error
-	// Close flushes buffered output and releases resources. Execute closes
-	// every sink it was handed, whether or not the run succeeded.
-	Close() error
-}
+// sinks need no locking; it closes every sink it was handed, whether or
+// not the run succeeded.
+type Sink = spine.Sink[Record]
 
-// bufSink is the shared buffered-writer scaffolding of the stream sinks
-// (owned by internal/jsonl so the campaign spine's sinks reuse it).
-type bufSink = jsonl.BufWriter
-
-func newBufSink(w io.Writer) bufSink { return jsonl.NewBufWriter(w) }
+// FuncSink adapts a callback into a Sink, for in-memory consumers.
+type FuncSink = spine.FuncSink[Record]
 
 // JSONLSink streams records as one JSON object per line. Records are
 // encoded into a reusable buffer by a hand-rolled encoder that produces
 // byte-identical output to encoding/json for the Record schema, so a
 // steady-state stream allocates nothing per record.
-type JSONLSink struct {
-	bufSink
-	enc []byte
-}
+type JSONLSink = jsonl.Sink[Record]
 
 // NewJSONLSink writes JSONL records to w; if w is an io.Closer it is
 // closed with the sink.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{bufSink: newBufSink(w)}
-}
+func NewJSONLSink(w io.Writer) *JSONLSink { return jsonl.NewSink(w, appendRecord) }
 
 // CreateJSONL creates (or truncates) a JSONL record file.
-func CreateJSONL(path string) (*JSONLSink, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewJSONLSink(f), nil
+func CreateJSONL(path string) (*JSONLSink, error) { return jsonl.Create(path, appendRecord) }
+
+// Checkpoint holds the trials recovered from a partial JSONL record file.
+// Passed to Execute via Options.Done, those trials are folded into the
+// summary from their recorded results instead of being re-run.
+type Checkpoint = jsonl.Checkpoint[trialKey, Record]
+
+// LoadCheckpoint parses a (possibly truncated) JSONL record file. Complete
+// lines become recovered trials; an interrupted run's trailing partial
+// line — or anything following the first unparseable line — is ignored, so
+// resuming re-runs exactly the trials the file does not fully record.
+func LoadCheckpoint(path string) (*Checkpoint, error) { return jsonl.LoadCheckpoint(path, recordKey) }
+
+// ResumeJSONL prepares a partial JSONL record file for resumption: it
+// loads the checkpoint, truncates the file back to its last complete line
+// and returns an append-mode sink. Executing with the checkpoint in
+// Options.Done and the sink then completes the file exactly as an
+// uninterrupted run would have written it.
+func ResumeJSONL(path string) (*Checkpoint, *JSONLSink, error) {
+	return jsonl.Resume(path, recordKey, appendRecord)
 }
 
-func (s *JSONLSink) Write(rec Record) error {
+// trialKey identifies one trial of a run: the key a checkpoint record must
+// carry to stand for it.
+type trialKey struct {
+	Scenario string
+	N, Trial int
+	Seed     int64
+}
+
+// recordKey keys a parsed checkpoint line, rejecting lines that are not
+// trial records.
+func recordKey(rec Record) (trialKey, bool) {
+	return trialKey{Scenario: rec.Scenario, N: rec.N, Trial: rec.Trial, Seed: rec.Seed}, rec.Scenario != ""
+}
+
+// appendRecord is the JSONL encoder of Record.
+func appendRecord(buf []byte, rec Record) ([]byte, error) {
 	if !jsonPlain(rec.Scenario) {
 		// Names outside printable ASCII take the reflective encoder; the
 		// registry never produces them, so this path is cold by design.
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := s.W.Write(b); err != nil {
-			return err
-		}
-		return s.W.WriteByte('\n')
+		return jsonl.AppendJSON(buf, rec)
 	}
-	s.enc = appendRecordJSON(s.enc[:0], rec)
-	_, err := s.W.Write(s.enc)
-	return err
+	return appendRecordJSON(buf, rec), nil
 }
 
 // jsonPlain reports whether every byte of v is printable ASCII, the
@@ -142,53 +149,35 @@ func appendRecordJSON(buf []byte, rec Record) []byte {
 	return append(buf, ']', '}', '\n')
 }
 
-// CSVSink streams records as CSV with a fixed header, encoding each row
-// into a reusable buffer.
-type CSVSink struct {
-	bufSink
-	header bool
-	enc    []byte
-}
+// CSVSink streams records as CSV with a fixed header, one row per record.
+type CSVSink = jsonl.Sink[Record]
 
 // NewCSVSink writes CSV records to w; if w is an io.Closer it is closed
 // with the sink.
 func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{bufSink: newBufSink(w)}
-}
-
-func (s *CSVSink) Write(rec Record) error {
-	if !s.header {
-		s.header = true
-		if _, err := s.W.WriteString("scenario,n,trial,seed,steps,converged,cycled,deletes,swaps,buys,multis\n"); err != nil {
-			return err
+	header := false
+	return jsonl.NewSink(w, func(buf []byte, rec Record) ([]byte, error) {
+		if !header {
+			header = true
+			buf = append(buf, "scenario,n,trial,seed,steps,converged,cycled,deletes,swaps,buys,multis\n"...)
 		}
-	}
-	buf := append(s.enc[:0], rec.Scenario...)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(rec.N), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(rec.Trial), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, rec.Seed, 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(rec.Steps), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendBool(buf, rec.Converged)
-	buf = append(buf, ',')
-	buf = strconv.AppendBool(buf, rec.Cycled)
-	for _, m := range rec.Moves {
+		buf = append(buf, rec.Scenario...)
 		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, int64(m), 10)
-	}
-	buf = append(buf, '\n')
-	s.enc = buf
-	_, err := s.W.Write(buf)
-	return err
+		buf = strconv.AppendInt(buf, int64(rec.N), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(rec.Trial), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, rec.Seed, 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(rec.Steps), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendBool(buf, rec.Converged)
+		buf = append(buf, ',')
+		buf = strconv.AppendBool(buf, rec.Cycled)
+		for _, m := range rec.Moves {
+			buf = append(buf, ',')
+			buf = strconv.AppendInt(buf, int64(m), 10)
+		}
+		return append(buf, '\n'), nil
+	})
 }
-
-// FuncSink adapts a callback into a Sink, for in-memory consumers.
-type FuncSink func(rec Record) error
-
-func (f FuncSink) Write(rec Record) error { return f(rec) }
-
-func (f FuncSink) Close() error { return nil }

@@ -1,14 +1,18 @@
-// Package jsonl holds the truncated-tail JSONL recovery shared by the
-// checkpoint loaders of the ensemble and campaign spines: a record file
-// written by an interrupted run is a sequence of complete JSON lines
-// followed by at most one torn tail (a partial line, or garbage after a
-// crash). Scanning stops at the first incomplete or unparseable line, so
-// resuming re-runs exactly the work the file does not fully record.
+// Package jsonl holds the record files of the execution spine: the line
+// sink every record type streams through (each type bringing its own
+// append-encoder), and the checkpoint loader that recovers an interrupted
+// run. A record file written by an interrupted run is a sequence of
+// complete JSON lines followed by at most one torn tail (a partial line,
+// or garbage after a crash). Scanning stops at the first incomplete or
+// unparseable line, so resuming re-runs exactly the work the file does
+// not fully record.
 package jsonl
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 )
@@ -52,37 +56,156 @@ func ScanFile(path string, accept func(line []byte) bool) (goodBytes int64, err 
 	return ScanLines(f, accept)
 }
 
-// BufWriter is the buffered-writer scaffolding shared by the record sinks
-// of the ensemble and campaign spines: it owns the buffer and closes the
-// underlying writer if it is a Closer.
-type BufWriter struct {
-	// W is the buffered writer sinks encode records into.
-	W *bufio.Writer
-	c io.Closer
+// Encoder appends one record's line, newline included, to buf.
+type Encoder[R any] func(buf []byte, rec R) ([]byte, error)
+
+// AppendJSON is the encoding/json Encoder: json.Marshal of rec and a
+// newline, the bytes a json.Encoder writes.
+func AppendJSON[R any](buf []byte, rec R) ([]byte, error) {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	return append(append(buf, b...), '\n'), nil
 }
 
-// NewBufWriter buffers w; if w is an io.Closer it is closed with the
-// writer.
-func NewBufWriter(w io.Writer) BufWriter {
-	b := BufWriter{W: bufio.NewWriter(w)}
+// Sink streams records one line each through a buffered writer, encoding
+// into a reused buffer. If the underlying writer is an io.Closer it is
+// closed with the sink.
+type Sink[R any] struct {
+	w   *bufio.Writer
+	c   io.Closer
+	enc Encoder[R]
+	buf []byte
+	// skip counts the leading records to drop because the file already
+	// holds them (see Resume).
+	skip int
+}
+
+// NewSink streams records encoded by enc to w.
+func NewSink[R any](w io.Writer, enc Encoder[R]) *Sink[R] {
+	s := &Sink[R]{w: bufio.NewWriter(w), enc: enc}
 	if c, ok := w.(io.Closer); ok {
-		b.c = c
+		s.c = c
 	}
-	return b
+	return s
+}
+
+// Create creates (or truncates) a record file.
+func Create[R any](path string, enc Encoder[R]) (*Sink[R], error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return NewSink(f, enc), nil
+}
+
+// Write encodes rec as one line.
+func (s *Sink[R]) Write(rec R) error {
+	if s.skip > 0 {
+		s.skip--
+		return nil
+	}
+	b, err := s.enc(s.buf[:0], rec)
+	if err != nil {
+		return err
+	}
+	s.buf = b
+	_, err = s.w.Write(b)
+	return err
 }
 
 // Flush pushes buffered records to the underlying writer.
-func (b *BufWriter) Flush() error { return b.W.Flush() }
+func (s *Sink[R]) Flush() error { return s.w.Flush() }
 
 // Close flushes and releases the underlying writer.
-func (b *BufWriter) Close() error {
-	err := b.W.Flush()
-	if b.c != nil {
-		if cerr := b.c.Close(); err == nil {
+func (s *Sink[R]) Close() error {
+	err := s.w.Flush()
+	if s.c != nil {
+		if cerr := s.c.Close(); err == nil {
 			err = cerr
 		}
 	}
 	return err
+}
+
+// Checkpoint holds the records recovered from a partial record file, in
+// file order, with their keys: the identity of the item each record
+// stands for, which a resumed run checks against its own emit order.
+type Checkpoint[K comparable, R any] struct {
+	recs []R
+	keys []K
+	// goodBytes is the file offset after the last complete, accepted
+	// line; anything beyond it is the truncated tail.
+	goodBytes int64
+}
+
+// LoadCheckpoint parses a (possibly truncated) record file. Each complete
+// line that decodes into R and that key accepts becomes a recovered
+// record; a trailing partial line, or anything from the first rejected
+// line on, is the ignored tail.
+func LoadCheckpoint[K comparable, R any](path string, key func(R) (K, bool)) (*Checkpoint[K, R], error) {
+	cp := &Checkpoint[K, R]{}
+	good, err := ScanFile(path, func(line []byte) bool {
+		var rec R
+		if json.Unmarshal(line, &rec) != nil {
+			return false
+		}
+		k, ok := key(rec)
+		if ok {
+			cp.recs = append(cp.recs, rec)
+			cp.keys = append(cp.keys, k)
+		}
+		return ok
+	})
+	if err != nil {
+		return nil, err
+	}
+	cp.goodBytes = good
+	return cp, nil
+}
+
+// Resume prepares a partial record file for resumption: it loads the
+// checkpoint, truncates the file back to its last complete line and
+// returns an append-mode sink that drops the first Len() records written
+// to it, the ones the file already holds. A run that streams the
+// recovered records again before the missing ones, as the spine executor
+// does, completes the file exactly as an uninterrupted run would have
+// written it.
+func Resume[K comparable, R any](path string, key func(R) (K, bool), enc Encoder[R]) (*Checkpoint[K, R], *Sink[R], error) {
+	cp, err := LoadCheckpoint(path, key)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := OpenResume(path, cp.goodBytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	s := NewSink(f, enc)
+	s.skip = cp.Len()
+	return cp, s, nil
+}
+
+// Len returns the number of recovered records.
+func (c *Checkpoint[K, R]) Len() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.recs)
+}
+
+// Recovered returns the recovered records' keys and the records, in file
+// order.
+func (c *Checkpoint[K, R]) Recovered() ([]K, []R) {
+	if c == nil {
+		return nil, nil
+	}
+	return c.keys, c.recs
+}
+
+// String summarizes the checkpoint for logs.
+func (c *Checkpoint[K, R]) String() string {
+	return fmt.Sprintf("checkpoint(%d records)", c.Len())
 }
 
 // OpenResume prepares a partial record file for resumption: it truncates

@@ -32,7 +32,6 @@ import (
 	"ncg/internal/game"
 	"ncg/internal/gen"
 	"ncg/internal/graph"
-	"ncg/internal/hunt"
 	"ncg/internal/jsonl"
 	"ncg/internal/quality"
 	"ncg/internal/search"
@@ -389,7 +388,7 @@ type (
 	// campaign spine via SweepCandidateFamily.
 	CandidateFamily = search.Family
 	// HuntResult is a best-response cycle found on a unit-budget network.
-	HuntResult = hunt.HuntResult
+	HuntResult = campaign.HuntResult
 )
 
 var (
@@ -423,7 +422,7 @@ var (
 	// HuntUnitBudgetCycle hunts the structured cycle-pendant unit-budget
 	// family for a best-response cycle, reporting how many instances were
 	// actually searched.
-	HuntUnitBudgetCycle = hunt.HuntUnitBudgetCycle
+	HuntUnitBudgetCycle = campaign.HuntUnitBudgetCycle
 )
 
 // Fault-tolerant campaign service: a lease-based coordinator decomposes a
