@@ -98,7 +98,11 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	// mode exists to avoid. Its cost reads come from one batched
 	// all-sources pass per network version instead, memoized in the
 	// primary scratch in O(n) memory, which also lets that scratch score
-	// SUM leaf movers without a search per target.
+	// SUM leaf movers without a search per target. In SUM games afterMove
+	// carries the memo across leaf swaps (game.FoldLeafSwap) as its last
+	// act, after the landmark repair has settled AdjVersion, so a run
+	// whose movers are leaves pays the pass once; any other move reruns
+	// it lazily.
 	e.halvesOK, e.sums = false, false
 	if n > 0 && !game.IsNaive(gm) {
 		_, ok := game.EdgeCostHalves(gm, g, 0)
@@ -177,18 +181,38 @@ func (e *engine) buildScratches() []*graph.BatchBFSScratch {
 	return r.batch[:shards]
 }
 
-// afterMove folds an applied move into the cache and the landmark oracle;
-// g must already be in the post-move state. The landmark repair is invoked
-// explicitly rather than through the graph's observer slot, which cycle
-// detection occupies with the state fingerprint; the transient edge
-// replay inside Apply fires that observer symmetrically, so the
-// fingerprint cancels back to the post-move state.
-func (e *engine) afterMove(mv game.Move) {
+// commit applies a chosen move to the network and folds it into the
+// engine state; it is the one commit path of sequential and round play.
+func (e *engine) commit(mv game.Move) {
+	pre := e.g.AdjVersion()
+	game.ApplyMove(e.g, mv)
+	e.afterMove(pre, mv)
+}
+
+// afterMove folds an applied move into the cache, the landmark oracle and,
+// in SUM games, landmark mode's memoized all-sources sums (a MAX read
+// reruns the pass on a folded memo, so MAX games skip the fold); g must
+// already be in the post-move state and pre is its AdjVersion before the
+// move. The landmark repair is invoked explicitly rather than through the
+// graph's observer slot, which cycle detection occupies with the state
+// fingerprint; the transient edge replay inside Apply fires that observer
+// symmetrically, so the fingerprint cancels back to the post-move state.
+//
+// The leaf-swap fold must run last: the landmark repair's transient
+// remove/add bumps AdjVersion twice, and the fold keys the memo to the
+// version it observes, so a fold placed before the repair would leave the
+// memo stale and the next cost read would rerun the pass anyway. Moves the
+// fold does not cover leave the memo keyed to the pre-move version, so the
+// next cost read reruns the pass.
+func (e *engine) afterMove(pre uint64, mv game.Move) {
 	if e.cache != nil {
 		e.cache.update(e.g, mv)
 	}
 	if e.lmk != nil {
 		e.lmk.Apply(e.g, mv.Agent, mv.Drop, mv.Add)
+	}
+	if e.sums && e.gm.DistKind() == game.Sum {
+		e.scr[0].FoldLeafSwap(e.g, pre, mv)
 	}
 }
 

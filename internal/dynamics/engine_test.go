@@ -131,8 +131,7 @@ func TestCostCacheMatchesBFS(t *testing.T) {
 			}
 			moves, _ = gm.BestMoves(g, mover, s, moves[:0])
 			mv := moves[r.Intn(len(moves))].Clone()
-			game.Apply(g, mv)
-			e.afterMove(mv)
+			e.commit(mv)
 			check(fmt.Sprintf("step %d (%v)", step, mv))
 		}
 	}
@@ -163,8 +162,7 @@ func TestCostCacheMultiDrop(t *testing.T) {
 			}
 			moves, _ = gm.BestMoves(g, mover, s, moves[:0])
 			mv := moves[r.Intn(len(moves))].Clone()
-			game.Apply(g, mv)
-			e.afterMove(mv)
+			e.commit(mv)
 			for u := 0; u < g.N(); u++ {
 				want := gm.Cost(g, u, game.NewScratch(g.N()))
 				if got := e.cost(u); got != want {
@@ -218,8 +216,7 @@ func TestCostCacheDisconnection(t *testing.T) {
 		{Agent: 0, Add: []int{4}},
 	}
 	for _, mv := range steps {
-		game.Apply(g, mv)
-		e.afterMove(mv)
+		e.commit(mv)
 		for u := 0; u < g.N(); u++ {
 			want := gm.Cost(g, u, game.NewScratch(g.N()))
 			if got := e.cost(u); got != want {

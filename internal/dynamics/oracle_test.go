@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"fmt"
 	"testing"
 
 	"ncg/internal/game"
@@ -54,8 +55,9 @@ func TestOracleSpecResolve(t *testing.T) {
 // oracleParityConfigs spans the regimes whose landmark traces must be
 // bit-identical to exact mode: both swap games, both cost kinds, the
 // engine-backed and plain policies, all tie rules, cycle detection, a
-// simultaneous-move schedule, and max-cost probe waves whose parallel
-// scratches hold no warm all-sources aggregates.
+// simultaneous-move schedule, max-cost probe waves whose parallel
+// scratches hold no warm all-sources aggregates, and policy-activated
+// rounds, whose commits carry the warm aggregates across leaf swaps.
 func oracleParityConfigs() []Config {
 	return []Config{
 		{Game: game.NewSwap(game.Sum), Policy: MaxCost{}, Tie: TieRandom, Seed: 5, DetectCycles: true},
@@ -67,6 +69,8 @@ func oracleParityConfigs() []Config {
 		{Game: game.NewSwap(game.Sum), Policy: MinIndex{}, Tie: TieRandom, Seed: 11,
 			Schedule: Rounds{Active: ActiveAll, Collision: SkipOnConflict}, DetectCycles: true},
 		{Game: game.NewSwap(game.Sum), Policy: MaxCost{}, Tie: TieRandom, Seed: 13, Workers: 3},
+		{Game: game.NewSwap(game.Sum), Policy: MaxCostDeterministic{}, Tie: TieFirst,
+			Schedule: Rounds{Active: ActivePolicy}, DetectCycles: true},
 	}
 }
 
@@ -189,5 +193,125 @@ func TestStableUnchangedByLandmarks(t *testing.T) {
 	}
 	if !Stable(g, game.NewSwap(game.Sum)) {
 		t.Fatal("converged landmark run left an unstable network")
+	}
+}
+
+// passCounter is a graph.Store that counts the batched all-sources passes
+// and the single-source searches run over the backend it embeds.
+type passCounter struct {
+	graph.Store
+	passes, searches int
+}
+
+func (c *passCounter) AllSourcesBFS(rows [][]int32, res []graph.BFSResult, s *graph.BatchBFSScratch) {
+	c.passes++
+	c.Store.AllSourcesBFS(rows, res, s)
+}
+
+func (c *passCounter) BFS(src int, dist []int32, s *graph.BFSScratch) graph.BFSResult {
+	c.searches++
+	return c.Store.BFS(src, dist, s)
+}
+
+// TestLandmarkRunFoldsLeafSwaps pins the leaf-swap fold of landmark mode: a
+// max-cost SUM-SG run reads every agent's cost from one all-sources pass,
+// and committing a leaf's swap carries that pass's sums to the next
+// network version, so the run pays the pass once, plus once after each
+// move of a non-leaf. Sequential and policy-activated round play share the
+// commit path, on both backends.
+func TestLandmarkRunFoldsLeafSwaps(t *testing.T) {
+	scheds := []Scheduler{nil, Rounds{Active: ActivePolicy}}
+	allLeaf := false
+	for seed := int64(1); seed <= 4; seed++ {
+		backends := []func() graph.Store{
+			func() graph.Store { return mustSparse(192, 24, seed) },
+			func() graph.Store { return graph.NewSparseFrom(mustSparse(192, 24, seed)) },
+		}
+		for _, start := range backends {
+			for _, sched := range scheds {
+				g := &passCounter{Store: start()}
+				var atStep []int
+				var reruns []bool
+				res := NewRunner().Run(g, Config{
+					Game:     game.NewSwap(game.Sum),
+					Policy:   MaxCostDeterministic{},
+					Tie:      TieFirst,
+					MaxSteps: 12,
+					Oracle:   OracleSpec{Mode: OracleLandmark, K: 8},
+					Schedule: sched,
+					OnStep: func(_, mover int, mv game.Move, sg graph.Store) {
+						atStep = append(atStep, g.passes)
+						reruns = append(reruns, mv.Kind() != game.KindSwap || sg.Degree(mover) != 1)
+					},
+				})
+				if res.Steps == 0 {
+					t.Fatalf("seed %d: start network already stable", seed)
+				}
+				where := fmt.Sprintf("seed %d %T schedule %v", seed, g.Store, sched)
+				if atStep[0] != 1 {
+					t.Fatalf("%s: %d passes before the first commit, want 1", where, atStep[0])
+				}
+				want, leaves := 1, true
+				for i, rerun := range reruns {
+					if rerun {
+						leaves = false
+						if i+1 < len(atStep) || res.Converged {
+							want++
+						}
+					}
+					if i+1 < len(atStep) && atStep[i+1] != want {
+						t.Fatalf("%s: %d passes by step %d, want %d (non-leaf movers so far: %v)",
+							where, atStep[i+1], i+2, want, reruns[:i+1])
+					}
+				}
+				if g.passes != want {
+					t.Fatalf("%s: %d passes over %d steps, want %d", where, g.passes, res.Steps, want)
+				}
+				allLeaf = allLeaf || leaves
+			}
+		}
+	}
+	if !allLeaf {
+		t.Fatal("no run moved leaves only; the one-pass case went unchecked")
+	}
+}
+
+// TestLandmarkFoldOnlyInSumGames: committing a leaf swap in landmark mode
+// folds it into the warm memo with two single-source searches in a SUM
+// game, and spends none in a MAX game, whose next cost read reruns the
+// pass on a folded memo anyway (the landmark repair searches through
+// PartialBFS and BatchBFS only). Costs read after the commit are exact in
+// both.
+func TestLandmarkFoldOnlyInSumGames(t *testing.T) {
+	for _, kind := range []game.DistKind{game.Sum, game.Max} {
+		g := &passCounter{Store: mustSparse(64, 8, 1)}
+		gm := game.NewSwap(kind)
+		r := &Runner{}
+		r.eng.reset(r, g, gm, 1, OracleSpec{Mode: OracleLandmark, K: 4})
+		e := &r.eng
+		u := 0
+		for g.Degree(u) != 1 {
+			u++
+		}
+		v := g.NeighborList(u, nil)[0]
+		w := 0
+		for w == u || w == v {
+			w++
+		}
+		e.cost(0)
+		before := g.searches
+		e.commit(game.Move{Agent: u, Drop: []int{v}, Add: []int{w}})
+		want := 0
+		if kind == game.Sum {
+			want = 2
+		}
+		if got := g.searches - before; got != want {
+			t.Fatalf("%v: commit ran %d single-source searches, want %d", kind, got, want)
+		}
+		for x := 0; x < g.N(); x++ {
+			if got, want := e.cost(x), gm.Cost(g, x, game.NewScratch(g.N())); got != want {
+				t.Fatalf("%v: cost of %d after the commit = %v, want %v", kind, x, got, want)
+			}
+		}
 	}
 }

@@ -313,8 +313,7 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 			if cfg.OnStep != nil {
 				mv = mv.Clone()
 			}
-			game.ApplyMove(g, mv)
-			e.afterMove(mv)
+			e.commit(mv)
 			res.Steps++
 			committed++
 			res.MoveKinds[mv.Kind()]++

@@ -203,8 +203,7 @@ func (r *Runner) Run(g graph.Store, cfg Config) Result {
 		} else {
 			mv = r.cloneInto(mv)
 		}
-		game.ApplyMove(g, mv)
-		e.afterMove(mv)
+		e.commit(mv)
 		res.Steps++
 		res.MoveKinds[mv.Kind()]++
 		res.Kinds = append(res.Kinds, mv.Kind())

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"ncg/internal/game"
 	"ncg/internal/gen"
@@ -83,6 +84,64 @@ func TestScaleSmokeMillionAgentStep(t *testing.T) {
 		t.Fatalf("peak heap %.2f GB exceeds the 4 GB ceiling", float64(ms.HeapSys)/(1<<30))
 	}
 	t.Logf("n=%d step on CSR backend: %d step(s), peak heap %.2f GB", n, res.Steps, float64(ms.HeapSys)/(1<<30))
+}
+
+// maxCostLandmarkConfig is the process of perfbench's landmark workload:
+// max-cost SUM-SG steps with smallest-index ties and the first best move,
+// serial, on the CSR backend under landmark:16.
+func maxCostLandmarkConfig(steps int) Config {
+	return Config{
+		Game:     game.NewSwap(game.Sum),
+		Policy:   MaxCostDeterministic{},
+		Tie:      TieFirst,
+		MaxSteps: steps,
+		Workers:  1,
+		Oracle:   OracleSpec{Mode: OracleLandmark, K: 16},
+		Backend:  BackendSparse,
+	}
+}
+
+// TestScaleSmokeMaxCostRun1e5: ten max-cost SUM-SG steps at n=10^5 on the
+// CSR backend. The first step pays the landmark build and the one
+// all-sources pass that orders the agents by cost; every later leaf move
+// carries the pass's sums across in O(n + m) instead of rerunning it.
+// Every move must strictly lower its mover's exact BFS cost.
+func TestScaleSmokeMaxCostRun1e5(t *testing.T) {
+	if os.Getenv("NCG_SCALE_SMOKE") == "" {
+		t.Skip("set NCG_SCALE_SMOKE=1 to run the n=1e5 max-cost run")
+	}
+	start := func() *graph.Sparse {
+		sp, err := gen.SparseCSR(scaleN, scaleN/10, gen.NewRand(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
+	}
+	var trace []traceStep
+	var gaps []time.Duration
+	var last time.Time
+	cfg := maxCostLandmarkConfig(10)
+	cfg.OnStep = func(_, mover int, mv game.Move, _ graph.Store) {
+		gaps = append(gaps, time.Since(last).Round(time.Millisecond))
+		last = time.Now()
+		trace = append(trace, traceStep{mover, mv})
+	}
+	g := start()
+	last = time.Now()
+	res := NewRunner().Run(g, cfg)
+	if res.Steps != 10 && !res.Converged {
+		t.Fatalf("max-cost run stopped early: %+v", res)
+	}
+	g, gm := start(), cfg.Game
+	s := game.NewScratch(scaleN)
+	for i, st := range trace {
+		before := gm.Cost(g, st.mover, s)
+		game.ApplyMove(g, st.mv)
+		if after := gm.Cost(g, st.mover, s); !after.Less(before, gm.Alpha()) {
+			t.Fatalf("step %d (%v): agent %d's cost %v -> %v is no improvement", i+1, st.mv, st.mover, before, after)
+		}
+	}
+	t.Logf("n=%d: %d max-cost steps, each strictly improving; step times %v", scaleN, res.Steps, gaps)
 }
 
 // playTrace runs landmark-mode best-response dynamics on g and returns the
@@ -233,6 +292,28 @@ func BenchmarkSparseCachelessStep(b *testing.B) {
 		moves, _ = gm.BestMoves(sp, 0, s, moves[:0])
 	}
 	runtime.KeepAlive(moves)
+}
+
+// BenchmarkLandmarkMaxCostRun4096 is perfbench's landmark workload as a Go
+// benchmark: a fresh Runner plays 15 max-cost SUM-SG steps at n=4096,
+// landmark build, cost ordering, scans and commits included. The start
+// network is regenerated outside the timer. Its movers are leaves, so the
+// run pays one all-sources pass in all; losing the leaf-swap fold brings
+// back one pass per step.
+func BenchmarkLandmarkMaxCostRun4096(b *testing.B) {
+	const n, steps = 4096, 15
+	cfg := maxCostLandmarkConfig(steps)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sp, err := gen.SparseCSR(n, 512, gen.NewRand(2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if res := NewRunner().Run(sp, cfg); res.Steps != steps {
+			b.Fatalf("run made %d of %d steps", res.Steps, steps)
+		}
+	}
 }
 
 func BenchmarkOracleBuild1e5(b *testing.B) {

@@ -13,6 +13,7 @@ package game
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ncg/internal/graph"
 )
@@ -92,15 +93,28 @@ func (c Cost) Cmp(o Cost, a Alpha) int {
 		return -1
 	}
 	// c < o  <=>  (c.Halves-o.Halves) * Num < (o.Dist-c.Dist) * 2 * Den.
-	lhs := (c.Halves - o.Halves) * a.Num
-	rhs := (o.Dist - c.Dist) * 2 * a.Den
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
+	// Both differences are exact in int64 for every cost the code produces
+	// (halves >= 0, finite distances below DistInf), but their products
+	// need not be (SUM costs at n = 10^6 against a fine-grained alpha), so
+	// they are compared as signed 128-bit values: bits.Mul64 reads a
+	// negative difference x as x + 2^64, which adds 2^64 times the other
+	// factor, and subtracting that factor from the high word takes it out.
+	dh, dd := c.Halves-o.Halves, (o.Dist-c.Dist)*2
+	lh, ll := bits.Mul64(uint64(dh), uint64(a.Num))
+	rh, rl := bits.Mul64(uint64(dd), uint64(a.Den))
+	if dh < 0 {
+		lh -= uint64(a.Num)
 	}
-	return 0
+	if dd < 0 {
+		rh -= uint64(a.Den)
+	}
+	switch {
+	case int64(lh) < int64(rh) || lh == rh && ll < rl:
+		return -1
+	case lh == rh && ll == rl:
+		return 0
+	}
+	return 1
 }
 
 // Less reports c < o under edge price a.

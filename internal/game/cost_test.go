@@ -1,6 +1,8 @@
 package game
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -80,6 +82,86 @@ func TestCostCmpMatchesFloat(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("Cmp(%v,%v;%v) = %d, want %d (floats %v vs %v)", x, y, a, got, want, fx, fy)
+		}
+	}
+}
+
+// bigCmp is Cmp's reference: the exact rational costs Halves*alpha/2 + Dist
+// compared in math/big, with every infinite cost equal and above all
+// finite ones.
+func bigCmp(c, o Cost, a Alpha) int {
+	ci, oi := c.Infinite(), o.Infinite()
+	if ci || oi {
+		switch {
+		case ci && oi:
+			return 0
+		case ci:
+			return 1
+		}
+		return -1
+	}
+	val := func(x Cost) *big.Rat {
+		edge := new(big.Rat).SetFrac(
+			new(big.Int).Mul(big.NewInt(x.Halves), big.NewInt(a.Num)),
+			new(big.Int).Mul(big.NewInt(2), big.NewInt(a.Den)))
+		return edge.Add(edge, new(big.Rat).SetInt64(x.Dist))
+	}
+	return val(c).Cmp(val(o))
+}
+
+// TestCostCmpExact pins Cmp to exact rational comparison where int64
+// cross-multiplication would wrap: SUM costs of n = 10^6 networks against
+// fine-grained alphas, distances at DistInf-1, math.MaxInt64 numerators,
+// denominators and halves, and random draws over the whole input range
+// (halves >= 0, distances below DistInf, any positive alpha).
+func TestCostCmpExact(t *testing.T) {
+	const maxI = math.MaxInt64
+	type tc struct {
+		x, y Cost
+		a    Alpha
+	}
+	cases := []tc{
+		// A path end's SUM cost at n = 10^6 against two halves of 10^-7.
+		{Cost{Dist: 500_000_000_000}, Cost{Halves: 2}, NewAlpha(1, 10_000_000)},
+		{Cost{Dist: DistInf - 1}, Cost{}, NewAlpha(1, maxI)},
+		{Cost{Dist: DistInf - 1}, Cost{Halves: 1}, NewAlpha(maxI, 1)},
+		{Cost{Dist: DistInf - 1}, Cost{Halves: 2}, NewAlpha(maxI, maxI)},
+		{Cost{Dist: DistInf - 1, Halves: 3}, Cost{Dist: 0, Halves: 5}, NewAlpha(maxI, maxI-1)},
+		{Cost{Dist: DistInf - 1}, Cost{Dist: DistInf}, NewAlpha(maxI, 1)},
+		{Cost{Halves: maxI}, Cost{Dist: DistInf - 1}, NewAlpha(1, maxI)},
+		{Cost{Halves: maxI}, Cost{Halves: maxI - 1, Dist: 1}, NewAlpha(maxI, maxI)},
+		{Cost{Halves: maxI}, Cost{}, NewAlpha(maxI, 1)},
+		// Exact ties of huge products: 2^62 * 2/2 = 2^62.
+		{Cost{Halves: 2}, Cost{Dist: 1 << 49}, NewAlpha(1<<49, 1)},
+		{Cost{Halves: 1 << 61, Dist: 3}, Cost{Halves: 1<<61 - 1, Dist: 3 + 1<<40}, NewAlpha(1<<41, 1)},
+	}
+	r := rand.New(rand.NewSource(41))
+	// draw returns a value below 2^b for a uniform bit length b <= bitsMax.
+	draw := func(bitsMax int) int64 {
+		if b := 1 + r.Intn(bitsMax); b < 63 {
+			return r.Int63n(int64(1) << b)
+		}
+		return r.Int63()
+	}
+	for i := 0; i < 20000; i++ {
+		a := NewAlpha(max(1, draw(63)), max(1, draw(63)))
+		x := Cost{Halves: draw(63), Dist: draw(50)}
+		y := Cost{Halves: draw(63), Dist: draw(50)}
+		if i%3 == 0 {
+			y.Halves = x.Halves + int64(r.Intn(5)) - 2
+			if y.Halves < 0 {
+				y.Halves = 0
+			}
+		}
+		cases = append(cases, tc{x, y, a})
+	}
+	for i, c := range cases {
+		want := bigCmp(c.x, c.y, c.a)
+		if got := c.x.Cmp(c.y, c.a); got != want {
+			t.Fatalf("case %d: Cmp(%v, %v; %v) = %d, want %d", i, c.x, c.y, c.a, got, want)
+		}
+		if got := c.y.Cmp(c.x, c.a); got != -want {
+			t.Fatalf("case %d: reverse Cmp(%v, %v; %v) = %d, want %d", i, c.y, c.x, c.a, got, -want)
 		}
 	}
 }

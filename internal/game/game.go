@@ -107,14 +107,17 @@ func MemoCost(g graph.Store, gm Game, u int, s *Scratch) Cost {
 	if !ok {
 		return gm.Cost(g, u, s)
 	}
-	return Cost{Halves: h, Dist: distCost(s.allSources(g)[u], g.N(), gm.DistKind())}
+	kind := gm.DistKind()
+	return Cost{Halves: h, Dist: distCost(s.allSources(g, kind)[u], g.N(), kind)}
 }
 
 // allSources returns the per-source aggregates of the batched all-sources
 // BFS pass over g, memoized on (g, AdjVersion) like the kernel scratch's
 // CSR snapshot: a repeated call on an unmutated network reruns nothing.
-func (s *Scratch) allSources(g graph.Store) []graph.BFSResult {
-	if res := s.warmSums(g); res != nil {
+// A memo that FoldLeafSwap carried across a move holds exact sums but
+// stale eccentricities, so MAX reads rerun the pass on it.
+func (s *Scratch) allSources(g graph.Store, kind DistKind) []graph.BFSResult {
+	if res := s.warmSums(g); res != nil && (kind == Sum || !s.sumsFolded) {
 		return res
 	}
 	n := g.N()
@@ -123,8 +126,43 @@ func (s *Scratch) allSources(g graph.Store) []graph.BFSResult {
 	}
 	s.sums = s.sums[:n]
 	g.AllSourcesBFS(nil, s.sums, s.kernel())
-	s.sumsFor, s.sumsVer = g, g.AdjVersion()
+	s.sumsFor, s.sumsVer, s.sumsFolded = g, g.AdjVersion(), false
 	return s.sums
+}
+
+// FoldLeafSwap carries the memoized all-sources aggregates across a
+// committed move mv of a leaf with two single-source searches and one O(n)
+// loop, instead of the all-sources pass the next cost read would rerun. g
+// must be the post-move network and pre its AdjVersion before mv was
+// applied. The fold applies only when s held the aggregates of that
+// version, mv swaps the agent's one edge {u,v} for {u,w} and the network
+// is connected, and it reports whether it did; otherwise the memo stays
+// keyed to the old version and the next read reruns the pass.
+//
+// A leaf lies on no shortest path between two other agents, so only
+// distances to u move: Sum'(y) = Sum(y) - d(y,v) + d(y,w) for every y != u,
+// and Sum'(u) = Σ_{y≠u} (d(w,y) + 1) = Sum'(w) + n - 2, from one BFS row
+// of v and one of w. Eccentricities are not kept (u may have been y's one
+// farthest agent), so the folded memo serves SUM reads only.
+func (s *Scratch) FoldLeafSwap(g graph.Store, pre uint64, mv Move) bool {
+	if s.sumsFor != g || s.sumsVer != pre || len(mv.Drop) != 1 || len(mv.Add) != 1 {
+		return false
+	}
+	u, n := mv.Agent, g.N()
+	if g.Degree(u) != 1 || s.sums[u].Reached < n {
+		return false
+	}
+	if len(s.foldV) != n {
+		s.foldV, s.foldW = make([]int32, n), make([]int32, n)
+	}
+	g.BFS(mv.Drop[0], s.foldV, s.bfs)
+	rw := g.BFS(mv.Add[0], s.foldW, s.bfs)
+	for y, dv := range s.foldV {
+		s.sums[y].Sum += int64(s.foldW[y] - dv)
+	}
+	s.sums[u].Sum = rw.Sum + int64(n-2)
+	s.sumsVer, s.sumsFolded = g.AdjVersion(), true
+	return true
 }
 
 // warmSums returns the memoized aggregates if they hold g's current
@@ -201,6 +239,10 @@ type Scratch struct {
 	sums    []graph.BFSResult
 	sumsFor graph.Store
 	sumsVer uint64
+	// sumsFolded marks sums carried across moves by FoldLeafSwap, whose
+	// Ecc entries are stale; foldV/foldW are the fold's two BFS rows.
+	sumsFolded   bool
+	foldV, foldW []int32
 	// score memoizes the swap scores of the current scan, indexed
 	// xi*len(buf2)+yi, when a batched source (leafScores, lmBatchScores)
 	// scored it up front.
