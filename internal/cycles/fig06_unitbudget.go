@@ -11,7 +11,7 @@ import (
 // negative). This also witnesses Theorem 3.5's claim that the MAX-ASG on
 // general networks admits best response cycles.
 //
-// The instance was reconstructed by search.Fig5CandidatesMinimal's sibling
+// The instance was reconstructed by the search.Fig6CandidatesMinimal
 // search over the figure's component family (four chains a2-..-a6,
 // b1-..-b4, d1-d2-d3, e1-..-e6 plus c1 and four connector edges), keeping
 // assemblies on which the four designated moves are best responses and the

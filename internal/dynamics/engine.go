@@ -28,8 +28,8 @@ type engine struct {
 	gm      game.Game
 	workers int
 	scr     []*game.Scratch
-	// pure records that the game's HasImproving never mutates the graph,
-	// the precondition for probing a shared graph concurrently.
+	// pure records that the game's queries never mutate the graph, the
+	// precondition for probing a shared graph concurrently.
 	pure bool
 	// halvesOK records that the game's edge-cost term is derivable from
 	// degrees, the precondition for serving costs from the distance cache.
@@ -62,7 +62,7 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	e.g = g
 	e.gm = gm
 	e.workers = workers
-	e.pure = game.ProbesPurely(gm)
+	e.pure = game.ScansPurely(gm)
 	e.cache = nil
 	e.arena = r
 	if r.scrN != n {

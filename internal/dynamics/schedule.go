@@ -1,7 +1,5 @@
 package dynamics
 
-import "fmt"
-
 // Scheduler selects the move-activation regime of a process: who gets to
 // move when, and against which network the moves are computed. The
 // classical sequential process of the paper activates one unhappy agent
@@ -141,14 +139,4 @@ func ScheduleByName(name string) (Scheduler, bool) {
 		}
 	}
 	return nil, false
-}
-
-// MustSchedule is ScheduleByName for static registrations; it panics on an
-// unknown name.
-func MustSchedule(name string) Scheduler {
-	s, ok := ScheduleByName(name)
-	if !ok {
-		panic(fmt.Sprintf("dynamics: unknown schedule %q", name))
-	}
-	return s
 }

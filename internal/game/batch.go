@@ -92,20 +92,19 @@ func (as AppliedSet) Undo() {
 	}
 }
 
-// PureScanner is implemented by games whose move enumerations (BestMoves,
-// ImprovingMoves) never mutate the graph, making concurrent scans of
-// distinct agents on a shared snapshot safe provided each goroutine uses
-// its own Scratch. This is strictly stronger than PureProber: games that
-// probe purely but enumerate by transiently applying candidates must not
-// implement it.
+// PureScanner is implemented by games whose queries (HasImproving,
+// BestMoves, ImprovingMoves) never mutate the graph, making concurrent
+// probes and scans of distinct agents on a shared graph safe provided each
+// goroutine uses its own Scratch. A game's three queries run one
+// enumerator, so its probes are pure exactly when its scans are.
 type PureScanner interface {
-	// ScansPurely reports that BestMoves and ImprovingMoves are read-only
-	// on the graph.
+	// ScansPurely reports that HasImproving, BestMoves and ImprovingMoves
+	// are read-only on the graph.
 	ScansPurely() bool
 }
 
-// ScansPurely reports whether gm guarantees read-only move enumeration.
-// The delta-evaluated scans of the swap variants and the greedy buy game
+// ScansPurely reports whether gm guarantees read-only queries. The
+// delta-evaluated scans of the swap variants and the greedy buy game
 // qualify; the naive reference scans (apply, BFS, undo) and the exhaustive
 // buy/bilateral enumerations do not.
 func ScansPurely(gm Game) bool {
@@ -121,10 +120,11 @@ func (sg *Swap) ScansPurely() bool { return true }
 // graph.
 func (ag *AsymSwap) ScansPurely() bool { return true }
 
-// ScansPurely reports that forEachGreedyMove is delta-evaluated and never
+// ScansPurely reports that GreedyBuy.scan is delta-evaluated and never
 // mutates the graph.
 func (gb *GreedyBuy) ScansPurely() bool { return true }
 
 // ScansPurely reports false: the reference scans mutate the graph while
-// enumerating, overriding any promoted claim of the wrapped game.
+// probing and enumerating, overriding any promoted claim of the wrapped
+// game.
 func (ng naiveGame) ScansPurely() bool { return false }

@@ -26,11 +26,6 @@ func NewBilateral(kind DistKind, alpha Alpha) *Bilateral {
 	return &Bilateral{base{kind: kind, alpha: alpha}}
 }
 
-// NewBilateralHost returns the bilateral game on a host graph.
-func NewBilateralHost(kind DistKind, alpha Alpha, host graph.Store) *Bilateral {
-	return &Bilateral{base{kind: kind, alpha: alpha, host: host}}
-}
-
 func (bl *Bilateral) Name() string {
 	return bl.kind.String() + "-bilateral-BG"
 }
@@ -44,9 +39,11 @@ func (bl *Bilateral) Cost(g graph.Store, u int, s *Scratch) Cost {
 	return agentCost(g, u, bl.kind, modelBilateral, s)
 }
 
-// forEachFeasibleStrategy enumerates every feasible strategy change of u and
-// calls fn with the move and u's resulting cost. fn returns false to stop.
-func (bl *Bilateral) forEachFeasibleStrategy(g graph.Store, u int, s *Scratch, fn func(m Move, c Cost) bool) {
+// scan is the one enumerator of u's feasible strategy changes: it offers
+// f each with u's resulting cost.
+func (bl *Bilateral) scan(g graph.Store, u int, f *fold) {
+	s := f.s
+	f.begin(agentCost(g, u, bl.kind, modelBilateral, s))
 	n := g.N()
 	var cands []int
 	for v := 0; v < n; v++ {
@@ -83,8 +80,7 @@ func (bl *Bilateral) forEachFeasibleStrategy(g graph.Store, u int, s *Scratch, f
 				add = append(add, v)
 			}
 		}
-		m := Move{Agent: u, Drop: drop, Add: add}
-		ap := Apply(g, m)
+		ap := Apply(g, Move{Agent: u, Drop: drop, Add: add})
 		feasible := true
 		for _, v := range add {
 			if preCost[v].Less(agentCost(g, v, bl.kind, modelBilateral, s), bl.alpha) {
@@ -97,7 +93,7 @@ func (bl *Bilateral) forEachFeasibleStrategy(g graph.Store, u int, s *Scratch, f
 			c = agentCost(g, u, bl.kind, modelBilateral, s)
 		}
 		ap.Undo()
-		if feasible && !fn(m, c) {
+		if feasible && !f.offer(c, drop, add) {
 			return
 		}
 	}
@@ -123,50 +119,15 @@ func (bl *Bilateral) Blocks(g graph.Store, m Move, s *Scratch) []int {
 }
 
 func (bl *Bilateral) HasImproving(g graph.Store, u int, s *Scratch) bool {
-	cur := agentCost(g, u, bl.kind, modelBilateral, s)
-	found := false
-	bl.forEachFeasibleStrategy(g, u, s, func(m Move, c Cost) bool {
-		if c.Less(cur, bl.alpha) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	return s.probe(bl.scan, g, u, bl.alpha)
 }
 
 func (bl *Bilateral) BestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	cur := agentCost(g, u, bl.kind, modelBilateral, s)
-	best := cur
-	start := len(dst)
-	bl.forEachFeasibleStrategy(g, u, s, func(m Move, c Cost) bool {
-		switch c.Cmp(best, bl.alpha) {
-		case -1:
-			dst = dst[:start]
-			dst = append(dst, m.Clone())
-			best = c
-		case 0:
-			if best.Less(cur, bl.alpha) {
-				dst = append(dst, m.Clone())
-			}
-		}
-		return true
-	})
-	if !best.Less(cur, bl.alpha) {
-		return dst[:start], cur
-	}
-	return dst, best
+	return s.bestMoves(bl.scan, g, u, bl.alpha, dst)
 }
 
 func (bl *Bilateral) ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	cur := agentCost(g, u, bl.kind, modelBilateral, s)
-	bl.forEachFeasibleStrategy(g, u, s, func(m Move, c Cost) bool {
-		if c.Less(cur, bl.alpha) {
-			dst = append(dst, m.Clone())
-		}
-		return true
-	})
-	return dst
+	return s.improving(bl.scan, g, u, bl.alpha, dst)
 }
 
 var _ Game = (*Bilateral)(nil)

@@ -66,10 +66,20 @@ func (bg *Buy) strategyCandidates(g graph.Store, u int, dst []int) []int {
 	return dst
 }
 
-// forEachStrategy enumerates every strategy of u other than the current one
-// and calls fn with the move transforming the current strategy into it and
-// the resulting cost for u. fn returns false to stop.
-func (bg *Buy) forEachStrategy(g graph.Store, u int, s *Scratch, fn func(m Move, c Cost) bool) {
+// scan is the one enumerator of u's strategies: it offers f the move to
+// every strategy other than the current one, with u's cost after it
+// (apply, search, undo). A probe is first offered the single-edge
+// additions and deletions, delta-evaluated (see delta.go) without touching
+// the graph: when one of them already improves — the common case along a
+// dynamics trajectory — the exponential enumeration never runs. They are a
+// subset of the strategy space, so offering them twice changes no probe
+// verdict.
+func (bg *Buy) scan(g graph.Store, u int, f *fold) {
+	s := f.s
+	f.begin(agentCost(g, u, bg.kind, modelUnilateral, s))
+	if f.q == probeQuery && !bg.offerSingles(g, u, f) {
+		return
+	}
 	cands := bg.strategyCandidates(g, u, nil)
 	if len(cands) > MaxStrategyBits {
 		panic(fmt.Sprintf("game: Buy Game strategy space 2^%d exceeds limit 2^%d", len(cands), MaxStrategyBits))
@@ -95,95 +105,50 @@ func (bg *Buy) forEachStrategy(g graph.Store, u int, s *Scratch, fn func(m Move,
 				add = append(add, v)
 			}
 		}
-		m := Move{Agent: u, Drop: drop, Add: add}
-		c := evalMove(g, m, bg.kind, modelUnilateral, s)
-		if !fn(m, c) {
+		c := evalMove(g, Move{Agent: u, Drop: drop, Add: add}, bg.kind, modelUnilateral, s)
+		if !f.offer(c, drop, add) {
 			return
 		}
 	}
 }
 
-func (bg *Buy) HasImproving(g graph.Store, u int, s *Scratch) bool {
-	cur := agentCost(g, u, bg.kind, modelUnilateral, s)
-	// Delta-evaluated pre-pass over the single-added-edge and
-	// single-removed-edge strategies (see delta.go): when one of these
-	// already improves — the common case along a dynamics trajectory — the
-	// exponential enumeration below never runs.
-	if bg.hasImprovingSingle(g, u, cur, s) {
-		return true
-	}
-	found := false
-	bg.forEachStrategy(g, u, s, func(m Move, c Cost) bool {
-		if c.Less(cur, bg.alpha) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// hasImprovingSingle reports whether buying one edge or deleting one owned
-// edge strictly improves on cur. Single-edge additions range over exactly
-// the unconnected strategy candidates (swapTargets) and single-edge
-// deletions over the owned neighbours, so this scans a subset of the full
-// strategy space and can return false negatives only.
-func (bg *Buy) hasImprovingSingle(g graph.Store, u int, cur Cost, s *Scratch) bool {
+// offerSingles offers f every single-edge deletion and addition of u and
+// reports whether the enumeration goes on. Single-edge additions range
+// over exactly the unconnected strategy candidates (swapTargets) and
+// single-edge deletions over the owned neighbours.
+func (bg *Buy) offerSingles(g graph.Store, u int, f *fold) bool {
+	s := f.s
 	s.buf = g.OwnedList(u, s.buf[:0])
 	s.buf2 = bg.swapTargets(g, u, s.buf2[:0])
 	if len(s.buf) == 0 && len(s.buf2) == 0 {
-		return false
+		return true
 	}
 	s.deltaBegin(g, u)
 	s.deltaInit(g, u)
-	halves := curHalves(g, u, modelUnilateral)
+	halves := f.cur.Halves
 	for _, x := range s.buf {
-		c := Cost{Halves: halves - 2, Dist: s.deltaDropDist(x, bg.kind)}
-		if c.Less(cur, bg.alpha) {
-			return true
+		if !f.offer(Cost{Halves: halves - 2, Dist: s.deltaDropDist(x, bg.kind)}, []int{x}, nil) {
+			return false
 		}
 	}
 	for _, y := range s.buf2 {
-		c := Cost{Halves: halves + 2, Dist: s.deltaAddDist(g, u, y, bg.kind)}
-		if c.Less(cur, bg.alpha) {
-			return true
+		if !f.offer(Cost{Halves: halves + 2, Dist: s.deltaAddDist(g, u, y, bg.kind)}, nil, []int{y}) {
+			return false
 		}
 	}
-	return false
+	return true
+}
+
+func (bg *Buy) HasImproving(g graph.Store, u int, s *Scratch) bool {
+	return s.probe(bg.scan, g, u, bg.alpha)
 }
 
 func (bg *Buy) BestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	cur := agentCost(g, u, bg.kind, modelUnilateral, s)
-	best := cur
-	start := len(dst)
-	bg.forEachStrategy(g, u, s, func(m Move, c Cost) bool {
-		switch c.Cmp(best, bg.alpha) {
-		case -1:
-			dst = dst[:start]
-			dst = append(dst, m.Clone())
-			best = c
-		case 0:
-			if best.Less(cur, bg.alpha) {
-				dst = append(dst, m.Clone())
-			}
-		}
-		return true
-	})
-	if !best.Less(cur, bg.alpha) {
-		return dst[:start], cur
-	}
-	return dst, best
+	return s.bestMoves(bg.scan, g, u, bg.alpha, dst)
 }
 
 func (bg *Buy) ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	cur := agentCost(g, u, bg.kind, modelUnilateral, s)
-	bg.forEachStrategy(g, u, s, func(m Move, c Cost) bool {
-		if c.Less(cur, bg.alpha) {
-			dst = append(dst, m.Clone())
-		}
-		return true
-	})
-	return dst
+	return s.improving(bg.scan, g, u, bg.alpha, dst)
 }
 
 var _ Game = (*Buy)(nil)

@@ -679,32 +679,3 @@ func (s *Scratch) deltaSwapScore(x, y int, ry []int32, kind DistKind) int64 {
 	}
 	return maxFinite(int64(m))
 }
-
-// deltaSwapHalves returns the alpha/2-unit count of agent u after swapping
-// the edge {u,x} for {u,y} (the added edge is owned by u), matching
-// agentCost on the post-swap network.
-func deltaSwapHalves(g graph.Store, u, x int, model costModel) int64 {
-	switch model {
-	case modelUnilateral:
-		od := g.OutDegree(u) + 1
-		if g.Owns(u, x) {
-			od--
-		}
-		return 2 * int64(od)
-	case modelBilateral:
-		return int64(g.Degree(u))
-	}
-	return 0
-}
-
-// curHalves returns the alpha/2-unit count of agent u in the current
-// network under the given cost model.
-func curHalves(g graph.Store, u int, model costModel) int64 {
-	switch model {
-	case modelUnilateral:
-		return 2 * int64(g.OutDegree(u))
-	case modelBilateral:
-		return int64(g.Degree(u))
-	}
-	return 0
-}

@@ -232,16 +232,10 @@ func TestBuyFastProbeAgreement(t *testing.T) {
 			for _, kind := range []DistKind{Sum, Max} {
 				bg := NewBuy(kind, alpha)
 				for u := 0; u < n; u++ {
-					cur := agentCost(g, u, kind, modelUnilateral, s)
 					got := bg.HasImproving(g, u, s)
-					exhaustive := false
-					bg.forEachStrategy(g, u, s, func(m Move, c Cost) bool {
-						if c.Less(cur, alpha) {
-							exhaustive = true
-							return false
-						}
-						return true
-					})
+					// Only probes get the pre-pass: the improving query
+					// runs the exhaustive enumeration alone.
+					exhaustive := len(bg.ImprovingMoves(g, u, s, nil)) > 0
 					if got != exhaustive {
 						t.Fatalf("%s agent %d on %v: HasImproving = %v, exhaustive %v", bg.Name(), u, g, got, exhaustive)
 					}

@@ -37,22 +37,6 @@ type Game interface {
 	ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move
 }
 
-// PureProber is implemented by games whose HasImproving never mutates the
-// graph, making concurrent happiness probes of distinct agents on a shared
-// graph safe provided each goroutine uses its own Scratch. Games that probe
-// by transiently applying candidate moves (Buy, Bilateral) must not
-// implement it.
-type PureProber interface {
-	// ProbesPurely reports that HasImproving is read-only on the graph.
-	ProbesPurely() bool
-}
-
-// ProbesPurely reports whether gm guarantees read-only happiness probes.
-func ProbesPurely(gm Game) bool {
-	p, ok := gm.(PureProber)
-	return ok && p.ProbesPurely()
-}
-
 // UsesSwapScans reports whether gm's best-response scans are the
 // delta-evaluated swap scans, the ones that honour an installed landmark
 // filter (Swap and AsymSwap; naive-wrapped games run the reference scans
@@ -213,11 +197,15 @@ type Scratch struct {
 	// (see delta.go).
 	delta deltaScratch
 
-	// pool backs the Drop/Add slices of enumerated moves. It is reset at
-	// the start of every enumeration (BestMoves, ImprovingMoves), so moves
-	// returned by those methods are valid only until the next enumeration
-	// on the same Scratch; callers that retain them must Clone.
+	// pool backs the Drop/Add slices of enumerated moves (see fold.offer).
+	// It is reset at the start of every enumeration (BestMoves,
+	// ImprovingMoves, the multi-swap scans), so moves returned by those
+	// methods are valid only until the next enumeration on the same
+	// Scratch; callers that retain them must Clone.
 	pool []int
+
+	// fold is the state of the query in progress (see openFold).
+	fold fold
 
 	// oracle, when installed, provides exact current-network distances
 	// that delta scans use to score additions without a search and to
@@ -272,12 +260,6 @@ func NewScratch(n int) *Scratch {
 		set:    graph.NewBitset(n),
 		repair: graph.NewRepairScratch(n),
 	}
-}
-
-// single returns a pool-backed one-element slice, for Move Drop/Add lists.
-func (s *Scratch) single(x int) []int {
-	s.pool = append(s.pool, x)
-	return s.pool[len(s.pool)-1 : len(s.pool) : len(s.pool)]
 }
 
 // base carries the configuration shared by all concrete games.

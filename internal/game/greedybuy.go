@@ -35,127 +35,61 @@ func (gb *GreedyBuy) Cost(g graph.Store, u int, s *Scratch) Cost {
 	return agentCost(g, u, gb.kind, modelUnilateral, s)
 }
 
-// forEachGreedyMove enumerates u's greedy moves in the order deletions,
-// swaps, additions (the preference order of Section 4.2.1) and calls fn with
-// each move's cost. fn returns false to stop the enumeration. The x and y
-// parameters are the dropped and added neighbours (-1 when absent). Every
-// move is scored by the delta evaluator (see delta.go): one distance row of
-// G-u per current neighbour up front, one per added target on demand, and
-// sub-O(n) arithmetic per candidate; the graph is never mutated.
-//
-// pruneSwap, if non-nil, receives a cost known to bound every swap with a
-// given target from below (the oracle add-bound with the swap edge-cost
-// term) and returns true to skip that target's swaps; it is only consulted
-// when a distance oracle is installed, where it saves the target's search.
-// Skipped swaps must be ones the caller would ignore anyway.
-func (gb *GreedyBuy) forEachGreedyMove(g graph.Store, u int, s *Scratch, pruneSwap func(Cost) bool, fn func(x, y int, c Cost) bool) {
+// scan is the one enumerator of u's greedy moves: it offers f the
+// deletions, swaps and additions in that order (the preference order of
+// Section 4.2.1). Every move is scored by the delta evaluator (see
+// delta.go): one distance row of G-u per current neighbour up front, one
+// per added target on demand, and sub-O(n) arithmetic per candidate; the
+// graph is never mutated. With a distance oracle installed, a swap target
+// whose oracle add-bound (for SUM with the drop's penalty folded in) the
+// fold prunes costs no search.
+func (gb *GreedyBuy) scan(g graph.Store, u int, f *fold) {
+	s := f.s
 	s.buf = g.OwnedList(u, s.buf[:0])
 	s.buf2 = gb.swapTargets(g, u, s.buf2[:0])
 	s.deltaBegin(g, u)
 	s.deltaInit(g, u)
-	halves := curHalves(g, u, modelUnilateral)
+	halves := 2 * int64(g.OutDegree(u))
+	f.begin(Cost{Halves: halves, Dist: s.deltaCurDist(gb.kind)})
 	// Deletions.
 	for _, x := range s.buf {
-		c := Cost{Halves: halves - 2, Dist: s.deltaDropDist(x, gb.kind)}
-		if !fn(x, -1, c) {
+		if !f.offer(Cost{Halves: halves - 2, Dist: s.deltaDropDist(x, gb.kind)}, []int{x}, nil) {
 			return
 		}
 	}
 	// Swaps.
 	for _, x := range s.buf {
 		for _, y := range s.buf2 {
-			if pruneSwap != nil && s.oracle != nil {
-				if bound, ok := s.deltaTargetBound(u, y, gb.kind, boundExact); ok {
-					if pruneSwap(Cost{Halves: halves, Dist: bound}) {
-						continue
-					}
-					if gb.kind == Sum && pruneSwap(Cost{Halves: halves, Dist: s.deltaPairBoundSum(u, x, y, bound)}) {
-						continue
-					}
+			if s.oracle != nil {
+				bound, _ := s.deltaTargetBound(u, y, gb.kind, boundExact)
+				if f.prunes(Cost{Halves: halves, Dist: bound}) ||
+					gb.kind == Sum && f.prunes(Cost{Halves: halves, Dist: s.deltaPairBoundSum(u, x, y, bound)}) {
+					continue
 				}
 			}
-			c := Cost{Halves: halves, Dist: s.deltaSwapDist(g, u, x, y, gb.kind)}
-			if !fn(x, y, c) {
+			if !f.offer(Cost{Halves: halves, Dist: s.deltaSwapDist(g, u, x, y, gb.kind)}, []int{x}, []int{y}) {
 				return
 			}
 		}
 	}
 	// Additions.
 	for _, y := range s.buf2 {
-		c := Cost{Halves: halves + 2, Dist: s.deltaAddDist(g, u, y, gb.kind)}
-		if !fn(-1, y, c) {
+		if !f.offer(Cost{Halves: halves + 2, Dist: s.deltaAddDist(g, u, y, gb.kind)}, nil, []int{y}) {
 			return
 		}
 	}
 }
 
-// greedyMove builds a move with pool-backed Drop/Add slices; it is valid
-// only until the next enumeration on s.
-func greedyMove(s *Scratch, u, x, y int) Move {
-	m := Move{Agent: u}
-	if x >= 0 {
-		m.Drop = s.single(x)
-	}
-	if y >= 0 {
-		m.Add = s.single(y)
-	}
-	return m
-}
-
 func (gb *GreedyBuy) HasImproving(g graph.Store, u int, s *Scratch) bool {
-	cur := agentCost(g, u, gb.kind, modelUnilateral, s)
-	found := false
-	prune := func(c Cost) bool { return !c.Less(cur, gb.alpha) }
-	gb.forEachGreedyMove(g, u, s, prune, func(x, y int, c Cost) bool {
-		if c.Less(cur, gb.alpha) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	return s.probe(gb.scan, g, u, gb.alpha)
 }
-
-// ProbesPurely reports that HasImproving never mutates the graph, so
-// concurrent probes on a shared graph are safe with per-goroutine scratch.
-func (gb *GreedyBuy) ProbesPurely() bool { return true }
 
 func (gb *GreedyBuy) BestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	s.pool = s.pool[:0]
-	cur := agentCost(g, u, gb.kind, modelUnilateral, s)
-	best := cur
-	start := len(dst)
-	prune := func(c Cost) bool { return c.Cmp(best, gb.alpha) > 0 }
-	gb.forEachGreedyMove(g, u, s, prune, func(x, y int, c Cost) bool {
-		switch c.Cmp(best, gb.alpha) {
-		case -1:
-			dst = dst[:start]
-			dst = append(dst, greedyMove(s, u, x, y))
-			best = c
-		case 0:
-			if best.Less(cur, gb.alpha) {
-				dst = append(dst, greedyMove(s, u, x, y))
-			}
-		}
-		return true
-	})
-	if !best.Less(cur, gb.alpha) {
-		return dst[:start], cur
-	}
-	return dst, best
+	return s.bestMoves(gb.scan, g, u, gb.alpha, dst)
 }
 
 func (gb *GreedyBuy) ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	s.pool = s.pool[:0]
-	cur := agentCost(g, u, gb.kind, modelUnilateral, s)
-	prune := func(c Cost) bool { return !c.Less(cur, gb.alpha) }
-	gb.forEachGreedyMove(g, u, s, prune, func(x, y int, c Cost) bool {
-		if c.Less(cur, gb.alpha) {
-			dst = append(dst, greedyMove(s, u, x, y))
-		}
-		return true
-	})
-	return dst
+	return s.improving(gb.scan, g, u, gb.alpha, dst)
 }
 
 var _ Game = (*GreedyBuy)(nil)

@@ -340,18 +340,16 @@ func (l *lmScratch) ensureRows(dn int) {
 	}
 }
 
-// lmBatchScores exactly scores every target that survives the armed
-// landmark bound against every drop candidate, and memoizes the scores in
-// s.score (indexed xi*len(buf2)+yi, matching the emission loops of
-// swapScan/swapBest). Survivors keep bound < limit when strict, otherwise
-// bound <= limit; emission-loop pruning only ever narrows those sets, so
-// every pair the emission loop scores has a memoized entry. The survivors'
-// G-u rows are materialized in lmChunk-wide groups through the batched
-// kernel — the per-row cost the lazy path pays once per surviving target,
-// amortized 64-fold — and are not pooled, so scratch memory stays O(n)
-// however many targets survive. Reports whether the memo is armed;
-// deltaInit must have run.
-func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64, strict bool) bool {
+// lmBatchScores exactly scores every target whose armed landmark bound
+// stays below limit against every drop candidate, and memoizes the scores
+// in s.score (indexed xi*len(buf2)+yi, matching swapScan's loop). A fold's
+// limit only tightens during a scan, so every pair the loop scores has a
+// memoized entry. The survivors' G-u rows are materialized in
+// lmChunk-wide groups through the batched kernel — the per-row cost the
+// lazy path pays once per surviving target, amortized 64-fold — and are
+// not pooled, so scratch memory stays O(n) however many targets survive.
+// Reports whether the memo is armed; deltaInit must have run.
+func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64) bool {
 	d := &s.delta
 	deg, nt := len(s.buf), len(s.buf2)
 	if deg == 0 || nt == 0 || d.dn < deltaBatchMinN || deg*nt > lmMaxScoreEntries {
@@ -366,8 +364,7 @@ func (s *Scratch) lmBatchScores(g graph.Store, u int, kind DistKind, limit int64
 	l.srcs = l.srcs[:0]
 	l.tis = l.tis[:0]
 	for ti, y := range s.buf2 {
-		bd := s.lmTargetBound(y, kind)
-		if bd > limit || (strict && bd == limit) {
+		if s.lmTargetBound(y, kind) >= limit {
 			continue
 		}
 		l.srcs = append(l.srcs, y)
@@ -405,20 +402,20 @@ func (s *Scratch) lmFlushScores(g graph.Store, u int, kind DistKind, nt int) {
 	l.tis = l.tis[:0]
 }
 
-// lmAnyImproving reports whether any (drop, add) pair of the armed scan
-// beats cur, batching surviving targets' rows in lmChunk-wide kernel
-// groups and exiting at the first improving pair (chunk granularity).
-// Like the lazy probe path it defers deltaInit until some target survives
-// its bound, so a happy agent whose bound dismisses everything is
-// certified without a neighbour row.
-func (s *Scratch) lmAnyImproving(g graph.Store, u int, kind DistKind, cur int64) bool {
+// lmAnyImproving offers a probe fold the (drop, add) pairs of the armed
+// scan whose targets' bounds stay below the fold's limit, batching their
+// rows in lmChunk-wide kernel groups; the fold stops it at the first
+// improving pair (chunk granularity). Like the lazy probe path it defers
+// deltaInit until some target survives its bound, so a happy agent whose
+// bound dismisses everything is certified without a neighbour row.
+func (s *Scratch) lmAnyImproving(g graph.Store, u int, kind DistKind, f *fold) {
 	d := &s.delta
 	l := &s.lm
 	l.srcs = l.srcs[:0]
 	for lo := 0; lo < len(s.buf2); {
 		for ; lo < len(s.buf2) && len(l.srcs) < lmChunk; lo++ {
 			y := s.buf2[lo]
-			if s.lmTargetBound(y, kind) < cur {
+			if !f.prunesDist(s.lmTargetBound(y, kind)) {
 				l.srcs = append(l.srcs, y)
 			}
 		}
@@ -436,12 +433,11 @@ func (s *Scratch) lmAnyImproving(g graph.Store, u int, kind DistKind, cur int64)
 		for i, y := range l.srcs {
 			s.deltaTargetAggr(u, y, rows[i])
 			for _, x := range s.buf {
-				if s.deltaSwapScore(x, y, rows[i], kind) < cur {
-					return true
+				if !f.offer(Cost{Dist: s.deltaSwapScore(x, y, rows[i], kind)}, []int{x}, []int{y}) {
+					return
 				}
 			}
 		}
 		l.srcs = l.srcs[:0]
 	}
-	return false
 }

@@ -28,25 +28,32 @@ func multiSwapDrops(gm Game, g graph.Store, u int) ([]int, *base) {
 
 // MultiSwapImprovingMoves returns every strictly improving multi-swap of u
 // with 1 <= k <= maxK swapped edges (maxK <= 0 means no limit). Single
-// swaps (k = 1) are included.
+// swaps (k = 1) are included. Like every enumeration it resets s's move
+// pool, so the moves are valid only until the next enumeration on s.
 func MultiSwapImprovingMoves(gm Game, g graph.Store, u int, s *Scratch, maxK int) []Move {
-	moves, _ := multiSwapScan(gm, g, u, s, maxK, false)
-	return moves
+	return s.improving(multiSwaps(gm, maxK), g, u, gm.Alpha(), nil)
 }
 
 // MultiSwapBest returns the multi-swaps of u achieving the minimum cost over
 // all multi-swaps with at most maxK edges, together with that cost, provided
-// it strictly improves; otherwise it returns (nil, current cost).
+// it strictly improves; otherwise it returns (nil, current cost). The moves
+// are pooled like MultiSwapImprovingMoves'.
 func MultiSwapBest(gm Game, g graph.Store, u int, s *Scratch, maxK int) ([]Move, Cost) {
-	return multiSwapScan(gm, g, u, s, maxK, true)
+	return s.bestMoves(multiSwaps(gm, maxK), g, u, gm.Alpha(), nil)
 }
 
-func multiSwapScan(gm Game, g graph.Store, u int, s *Scratch, maxK int, bestOnly bool) ([]Move, Cost) {
+// multiSwaps binds multiSwapScan to a game and a swap-count limit.
+func multiSwaps(gm Game, maxK int) scanFunc {
+	return func(g graph.Store, u int, f *fold) { multiSwapScan(gm, g, u, maxK, f) }
+}
+
+// multiSwapScan is the one enumerator of u's multi-swaps under gm: k = 1,
+// 2, ... swapped edges, drop sets outermost, each set in candidate order,
+// every candidate scored by apply, search, undo.
+func multiSwapScan(gm Game, g graph.Store, u int, maxK int, f *fold) {
 	drops, b := multiSwapDrops(gm, g, u)
 	targets := b.swapTargets(g, u, nil)
-	cur := agentCost(g, u, b.kind, modelSwap, s)
-	best := cur
-	var out []Move
+	f.begin(agentCost(g, u, b.kind, modelSwap, f.s))
 	limit := len(drops)
 	if maxK > 0 && maxK < limit {
 		limit = maxK
@@ -58,29 +65,10 @@ func multiSwapScan(gm Game, g graph.Store, u int, s *Scratch, maxK int, bestOnly
 	tsel := make([]int, 0, limit)
 
 	var chooseTargets func(k, from int)
-	evaluate := func() {
-		m := Move{Agent: u, Drop: append([]int(nil), dsel...), Add: append([]int(nil), tsel...)}
-		c := evalMove(g, m, b.kind, modelSwap, s)
-		if !bestOnly {
-			if c.Less(cur, b.alpha) {
-				out = append(out, m)
-			}
-			return
-		}
-		switch c.Cmp(best, b.alpha) {
-		case -1:
-			out = out[:0]
-			out = append(out, m)
-			best = c
-		case 0:
-			if best.Less(cur, b.alpha) {
-				out = append(out, m)
-			}
-		}
-	}
 	chooseTargets = func(k, from int) {
 		if len(tsel) == k {
-			evaluate()
+			m := Move{Agent: u, Drop: dsel, Add: tsel}
+			f.offer(evalMove(g, m, b.kind, modelSwap, f.s), dsel, tsel)
 			return
 		}
 		for i := from; i < len(targets); i++ {
@@ -104,8 +92,4 @@ func multiSwapScan(gm Game, g graph.Store, u int, s *Scratch, maxK int, bestOnly
 	for k := 1; k <= limit; k++ {
 		chooseDrops(k, 0)
 	}
-	if bestOnly && !best.Less(cur, b.alpha) {
-		return nil, cur
-	}
-	return out, best
 }

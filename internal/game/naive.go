@@ -28,14 +28,14 @@ func evalSwap(b *base, g graph.Store, u, x, y int, model costModel, s *Scratch) 
 	return c
 }
 
-// swapAnyNaive is the full-BFS form of swapAny.
-func swapAnyNaive(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch) bool {
-	cur := agentCost(g, u, b.kind, model, s)
+// swapAnyNaive is the full-BFS form of the swap games' HasImproving.
+func swapAnyNaive(b *base, g graph.Store, u int, drops dropFunc, s *Scratch) bool {
+	cur := agentCost(g, u, b.kind, modelSwap, s)
 	s.buf = drops(g, u, s.buf[:0])
 	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
 	for _, x := range s.buf {
 		for _, y := range s.buf2 {
-			if evalSwap(b, g, u, x, y, model, s).Less(cur, b.alpha) {
+			if evalSwap(b, g, u, x, y, modelSwap, s).Less(cur, b.alpha) {
 				return true
 			}
 		}
@@ -43,41 +43,41 @@ func swapAnyNaive(b *base, g graph.Store, u int, drops dropFunc, model costModel
 	return false
 }
 
-// swapScanNaive is the full-BFS form of swapScan.
-func swapScanNaive(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch, dst []Move) []Move {
+// swapScanNaive is the full-BFS form of the swap games' ImprovingMoves.
+func swapScanNaive(b *base, g graph.Store, u int, drops dropFunc, s *Scratch, dst []Move) []Move {
 	s.pool = s.pool[:0]
-	cur := agentCost(g, u, b.kind, model, s)
+	cur := agentCost(g, u, b.kind, modelSwap, s)
 	s.buf = drops(g, u, s.buf[:0])
 	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
 	for _, x := range s.buf {
 		for _, y := range s.buf2 {
-			if evalSwap(b, g, u, x, y, model, s).Less(cur, b.alpha) {
-				dst = append(dst, Move{Agent: u, Drop: s.single(x), Add: s.single(y)})
+			if evalSwap(b, g, u, x, y, modelSwap, s).Less(cur, b.alpha) {
+				dst = append(dst, Move{Agent: u, Drop: s.pooled([]int{x}), Add: s.pooled([]int{y})})
 			}
 		}
 	}
 	return dst
 }
 
-// swapBestNaive is the full-BFS form of swapBest.
-func swapBestNaive(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch, dst []Move) ([]Move, Cost) {
+// swapBestNaive is the full-BFS form of the swap games' BestMoves.
+func swapBestNaive(b *base, g graph.Store, u int, drops dropFunc, s *Scratch, dst []Move) ([]Move, Cost) {
 	s.pool = s.pool[:0]
-	cur := agentCost(g, u, b.kind, model, s)
+	cur := agentCost(g, u, b.kind, modelSwap, s)
 	best := cur
 	start := len(dst)
 	s.buf = drops(g, u, s.buf[:0])
 	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
 	for _, x := range s.buf {
 		for _, y := range s.buf2 {
-			c := evalSwap(b, g, u, x, y, model, s)
+			c := evalSwap(b, g, u, x, y, modelSwap, s)
 			switch c.Cmp(best, b.alpha) {
 			case -1:
 				dst = dst[:start]
-				dst = append(dst, Move{Agent: u, Drop: s.single(x), Add: s.single(y)})
+				dst = append(dst, Move{Agent: u, Drop: s.pooled([]int{x}), Add: s.pooled([]int{y})})
 				best = c
 			case 0:
 				if best.Less(cur, b.alpha) {
-					dst = append(dst, Move{Agent: u, Drop: s.single(x), Add: s.single(y)})
+					dst = append(dst, Move{Agent: u, Drop: s.pooled([]int{x}), Add: s.pooled([]int{y})})
 				}
 			}
 		}
@@ -88,7 +88,7 @@ func swapBestNaive(b *base, g graph.Store, u int, drops dropFunc, model costMode
 	return dst, best
 }
 
-// forEachGreedyMoveNaive is the full-BFS form of GreedyBuy.forEachGreedyMove,
+// forEachGreedyMoveNaive is the full-BFS form of GreedyBuy.scan,
 // enumerating deletions, swaps and additions in the same order.
 func (gb *GreedyBuy) forEachGreedyMoveNaive(g graph.Store, u int, s *Scratch, fn func(x, y int, c Cost) bool) {
 	s.buf = g.OwnedList(u, s.buf[:0])
@@ -132,27 +132,27 @@ type naiveScanner interface {
 }
 
 func (sg *Swap) naiveHasImproving(g graph.Store, u int, s *Scratch) bool {
-	return swapAnyNaive(&sg.base, g, u, sg.dropCandidates, modelSwap, s)
+	return swapAnyNaive(&sg.base, g, u, sg.dropCandidates, s)
 }
 
 func (sg *Swap) naiveBestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return swapBestNaive(&sg.base, g, u, sg.dropCandidates, modelSwap, s, dst)
+	return swapBestNaive(&sg.base, g, u, sg.dropCandidates, s, dst)
 }
 
 func (sg *Swap) naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return swapScanNaive(&sg.base, g, u, sg.dropCandidates, modelSwap, s, dst)
+	return swapScanNaive(&sg.base, g, u, sg.dropCandidates, s, dst)
 }
 
 func (ag *AsymSwap) naiveHasImproving(g graph.Store, u int, s *Scratch) bool {
-	return swapAnyNaive(&ag.base, g, u, ag.dropCandidates, modelSwap, s)
+	return swapAnyNaive(&ag.base, g, u, ag.dropCandidates, s)
 }
 
 func (ag *AsymSwap) naiveBestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return swapBestNaive(&ag.base, g, u, ag.dropCandidates, modelSwap, s, dst)
+	return swapBestNaive(&ag.base, g, u, ag.dropCandidates, s, dst)
 }
 
 func (ag *AsymSwap) naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return swapScanNaive(&ag.base, g, u, ag.dropCandidates, modelSwap, s, dst)
+	return swapScanNaive(&ag.base, g, u, ag.dropCandidates, s, dst)
 }
 
 func (gb *GreedyBuy) naiveHasImproving(g graph.Store, u int, s *Scratch) bool {
@@ -205,14 +205,14 @@ func (gb *GreedyBuy) naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst [
 }
 
 // greedyMoveNaive builds a move with pool-backed Drop/Add slices, like the
-// delta path's greedyMove, so naive enumeration allocates nothing.
+// delta path's kept moves, so naive enumeration allocates nothing.
 func greedyMoveNaive(u, x, y int, s *Scratch) Move {
 	m := Move{Agent: u}
 	if x >= 0 {
-		m.Drop = s.single(x)
+		m.Drop = s.pooled([]int{x})
 	}
 	if y >= 0 {
-		m.Add = s.single(y)
+		m.Add = s.pooled([]int{y})
 	}
 	return m
 }
@@ -275,10 +275,6 @@ func Naive(gm Game) Game {
 	}
 	return naiveGame{gm}
 }
-
-// ProbesPurely reports false: the reference scans mutate the graph while
-// probing, overriding any promoted claim of the wrapped game.
-func (ng naiveGame) ProbesPurely() bool { return false }
 
 func (ng naiveGame) HasImproving(g graph.Store, u int, s *Scratch) bool {
 	return ng.Game.(naiveScanner).naiveHasImproving(g, u, s)

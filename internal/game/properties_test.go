@@ -1,6 +1,7 @@
 package game
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -125,77 +126,155 @@ func TestApplyUndoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHasImprovingConsistentWithBestMoves: HasImproving and BestMoves must
-// agree for every game on random instances.
-func TestHasImprovingConsistentWithBestMoves(t *testing.T) {
-	games := []Game{
-		NewSwap(Sum), NewSwap(Max),
-		NewAsymSwap(Sum), NewAsymSwap(Max),
-		NewGreedyBuy(Sum, NewAlpha(3, 2)), NewGreedyBuy(Max, NewAlpha(3, 2)),
-		NewBuy(Sum, AlphaInt(2)), NewBilateral(Sum, AlphaInt(4)),
+// foldGames returns the ten games of the best-response fold contract: SG,
+// ASG, GBG, BG and bilateral, each under SUM and MAX.
+func foldGames() []Game {
+	var gs []Game
+	for _, kind := range []DistKind{Sum, Max} {
+		gs = append(gs, NewSwap(kind), NewAsymSwap(kind), NewGreedyBuy(kind, NewAlpha(3, 2)),
+			NewBuy(kind, AlphaInt(2)), NewBilateral(kind, AlphaInt(4)))
 	}
-	r := rand.New(rand.NewSource(47))
-	s := NewScratch(10)
-	for trial := 0; trial < 10; trial++ {
-		g := randomOwnedGraph(10, r.Intn(6), r)
-		for _, gm := range games {
-			for u := 0; u < 10; u++ {
-				has := gm.HasImproving(g, u, s)
-				best, _ := gm.BestMoves(g, u, s, nil)
-				if has != (len(best) > 0) {
-					t.Fatalf("%s agent %d: HasImproving=%v but %d best moves",
-						gm.Name(), u, has, len(best))
+	return gs
+}
+
+// foldCase is one game on one network under one scan mode. arm installs
+// the mode on s; callers run it before every query, since warmed sums go
+// stale with each apply/undo of a cost check.
+type foldCase struct {
+	name string
+	g    *graph.Graph
+	gm   Game
+	s    *Scratch
+	arm  func()
+}
+
+// forEachFoldCase calls fn for every game of foldGames under every scan
+// mode that applies: no oracle, the exact testOracle, and warmed
+// all-sources sums (AllCosts first, so SUM leaves take the leaf-score
+// path); the swap games on connected networks also run with a complete
+// graph.Landmarks, alone and with warmed sums. Networks have 4..10 agents,
+// a third of them disconnected; one connected n = 128 network, on which BG
+// and bilateral are skipped, runs the batched landmark scores.
+func forEachFoldCase(t *testing.T, seed int64, fn func(c foldCase)) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	var nets []*graph.Graph
+	for i := 0; i < 8; i++ {
+		nets = append(nets, randomDeltaGraph(4+r.Intn(7), r))
+	}
+	nets = append(nets, randomOwnedGraph(128, 24, r))
+	type mode struct {
+		name string
+		orc  DistOracle
+		lm   *graph.Landmarks
+		sums bool
+	}
+	for _, g := range nets {
+		n := g.N()
+		s := NewScratch(n)
+		modes := []mode{{"plain", nil, nil, false}, {"oracle", newTestOracle(g), nil, false}, {"sums", nil, nil, true}}
+		var lmModes []mode
+		if g.Connected() {
+			lm := graph.BuildLandmarks(g, 4, nil)
+			lmModes = []mode{{"landmarks", nil, lm, false}, {"landmarks+sums", nil, lm, true}}
+		}
+		for _, gm := range foldGames() {
+			swap := UsesSwapScans(gm)
+			if !swap && n > 10 {
+				continue
+			}
+			ms := modes
+			if swap {
+				ms = append(ms[:len(ms):len(ms)], lmModes...)
+			}
+			for _, m := range ms {
+				arm := func() {
+					s.SetDistOracle(m.orc)
+					s.SetLandmarks(m.lm)
+					if m.sums {
+						AllCosts(g, gm, s, nil)
+					}
 				}
-				ims := gm.ImprovingMoves(g, u, s, nil)
-				if has != (len(ims) > 0) {
-					t.Fatalf("%s agent %d: HasImproving=%v but %d improving moves",
-						gm.Name(), u, has, len(ims))
-				}
+				fn(foldCase{fmt.Sprintf("%s/%s n=%d", gm.Name(), m.name, n), g, gm, s, arm})
 			}
 		}
 	}
 }
 
-// TestBestMovesAreImprovingMoves: every best move appears among the
-// improving moves and achieves their minimal cost.
-func TestBestMovesAreImprovingMoves(t *testing.T) {
-	r := rand.New(rand.NewSource(53))
-	games := []Game{
-		NewSwap(Max), NewAsymSwap(Sum), NewGreedyBuy(Sum, NewAlpha(5, 2)),
-	}
-	for trial := 0; trial < 15; trial++ {
-		g := randomOwnedGraph(12, r.Intn(8), r)
-		s := NewScratch(12)
-		for _, gm := range games {
-			alpha := gm.Alpha()
-			for u := 0; u < 12; u++ {
-				// Clone: the ImprovingMoves scan reuses the move pool.
-				best, bc := gm.BestMoves(g, u, s, nil)
-				best = CloneMoves(best)
-				ims := gm.ImprovingMoves(g, u, s, nil)
-				for _, bm := range best {
-					found := false
-					for _, im := range ims {
-						if bm.Equal(im) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						t.Fatalf("%s: best move %v not improving", gm.Name(), bm)
-					}
-				}
-				// No improving move beats the best cost.
-				for _, im := range ims {
-					ap := Apply(g, im)
-					c := gm.Cost(g, u, s)
-					ap.Undo()
-					if c.Less(bc, alpha) {
-						t.Fatalf("%s: improving move %v (%v) beats best %v",
-							gm.Name(), im, c, bc)
-					}
-				}
+// TestHasImprovingConsistentWithBestMoves: HasImproving, BestMoves and
+// ImprovingMoves must agree on whether an agent is unhappy, for every game
+// under every scan mode.
+func TestHasImprovingConsistentWithBestMoves(t *testing.T) {
+	forEachFoldCase(t, 47, func(c foldCase) {
+		for u := 0; u < c.g.N(); u++ {
+			c.arm()
+			has := c.gm.HasImproving(c.g, u, c.s)
+			c.arm()
+			best, _ := c.gm.BestMoves(c.g, u, c.s, nil)
+			if has != (len(best) > 0) {
+				t.Fatalf("%s agent %d: HasImproving=%v but %d best moves", c.name, u, has, len(best))
+			}
+			c.arm()
+			ims := c.gm.ImprovingMoves(c.g, u, c.s, nil)
+			if has != (len(ims) > 0) {
+				t.Fatalf("%s agent %d: HasImproving=%v but %d improving moves", c.name, u, has, len(ims))
 			}
 		}
-	}
+	})
+}
+
+// TestBestMovesAreImprovingMoves: every best move appears among the
+// improving moves and achieves their minimal cost, and conversely every
+// improving move whose exact post-move cost (apply, Cost, undo) equals the
+// best cost is a best move: BestMoves is exactly that subsequence of
+// ImprovingMoves, in order. A happy agent's returned cost is the agent's
+// current cost.
+func TestBestMovesAreImprovingMoves(t *testing.T) {
+	forEachFoldCase(t, 53, func(c foldCase) {
+		g, gm, s := c.g, c.gm, c.s
+		alpha := gm.Alpha()
+		for u := 0; u < g.N(); u++ {
+			cur := gm.Cost(g, u, s)
+			c.arm()
+			// Clone: the ImprovingMoves scan reuses the move pool.
+			best, bc := gm.BestMoves(g, u, s, nil)
+			best = CloneMoves(best)
+			c.arm()
+			ims := CloneMoves(gm.ImprovingMoves(g, u, s, nil))
+			if len(best) == 0 && bc != cur {
+				t.Fatalf("%s agent %d: happy agent's best cost %v, current %v", c.name, u, bc, cur)
+			}
+			for _, bm := range best {
+				found := false
+				for _, im := range ims {
+					if bm.Equal(im) {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Fatalf("%s agent %d: best move %v not improving", c.name, u, bm)
+				}
+			}
+			var attain []Move
+			for _, im := range ims {
+				ap := Apply(g, im)
+				ic := gm.Cost(g, u, s)
+				ap.Undo()
+				if !ic.Less(cur, alpha) {
+					t.Fatalf("%s agent %d: improving move %v costs %v, current %v", c.name, u, im, ic, cur)
+				}
+				if ic.Less(bc, alpha) {
+					t.Fatalf("%s agent %d: improving move %v (%v) beats best %v", c.name, u, im, ic, bc)
+				}
+				if ic.Cmp(bc, alpha) == 0 {
+					attain = append(attain, im)
+				}
+			}
+			if !movesEqual(attain, best) {
+				t.Fatalf("%s agent %d: improving moves at the best cost %v are %v, best moves %v",
+					c.name, u, bc, attain, best)
+			}
+		}
+	})
 }

@@ -38,20 +38,20 @@ func (sg *Swap) dropCandidates(g graph.Store, u int, dst []int) []int {
 	return g.NeighborList(u, dst)
 }
 
-func (sg *Swap) HasImproving(g graph.Store, u int, s *Scratch) bool {
-	return swapAny(&sg.base, g, u, sg.dropCandidates, modelSwap, s)
+func (sg *Swap) scan(g graph.Store, u int, f *fold) {
+	swapScan(&sg.base, g, u, sg.dropCandidates, f)
 }
 
-// ProbesPurely reports that HasImproving never mutates the graph, so
-// concurrent probes on a shared graph are safe with per-goroutine scratch.
-func (sg *Swap) ProbesPurely() bool { return true }
+func (sg *Swap) HasImproving(g graph.Store, u int, s *Scratch) bool {
+	return s.probe(sg.scan, g, u, sg.alpha)
+}
 
 func (sg *Swap) BestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return swapBest(&sg.base, g, u, sg.dropCandidates, modelSwap, s, dst)
+	return s.bestMoves(sg.scan, g, u, sg.alpha, dst)
 }
 
 func (sg *Swap) ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return swapScan(&sg.base, g, u, sg.dropCandidates, modelSwap, s, dst)
+	return s.improving(sg.scan, g, u, sg.alpha, dst)
 }
 
 // AsymSwap is the Asymmetric Swap Game of Mihalák & Schlegel: only the owner
@@ -87,42 +87,42 @@ func (ag *AsymSwap) dropCandidates(g graph.Store, u int, dst []int) []int {
 	return g.OwnedList(u, dst)
 }
 
-func (ag *AsymSwap) HasImproving(g graph.Store, u int, s *Scratch) bool {
-	return swapAny(&ag.base, g, u, ag.dropCandidates, modelSwap, s)
+func (ag *AsymSwap) scan(g graph.Store, u int, f *fold) {
+	swapScan(&ag.base, g, u, ag.dropCandidates, f)
 }
 
-// ProbesPurely reports that HasImproving never mutates the graph, so
-// concurrent probes on a shared graph are safe with per-goroutine scratch.
-func (ag *AsymSwap) ProbesPurely() bool { return true }
+func (ag *AsymSwap) HasImproving(g graph.Store, u int, s *Scratch) bool {
+	return s.probe(ag.scan, g, u, ag.alpha)
+}
 
 func (ag *AsymSwap) BestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return swapBest(&ag.base, g, u, ag.dropCandidates, modelSwap, s, dst)
+	return s.bestMoves(ag.scan, g, u, ag.alpha, dst)
 }
 
 func (ag *AsymSwap) ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return swapScan(&ag.base, g, u, ag.dropCandidates, modelSwap, s, dst)
+	return s.improving(ag.scan, g, u, ag.alpha, dst)
 }
 
 type dropFunc func(g graph.Store, u int, dst []int) []int
 
 // swapPrepare fills s.buf with u's drop candidates, s.buf2 with its swap
 // targets, opens and initializes the delta scan, and returns u's current
-// cost, all without mutating the graph.
-func swapPrepare(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch) Cost {
+// distance cost, all without mutating the graph.
+func swapPrepare(b *base, g graph.Store, u int, drops dropFunc, s *Scratch) int64 {
 	s.buf = drops(g, u, s.buf[:0])
 	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
 	s.deltaBegin(g, u)
 	s.deltaInit(g, u)
-	return Cost{Halves: curHalves(g, u, model), Dist: s.deltaCurDist(b.kind)}
+	return s.deltaCurDist(b.kind)
 }
 
 // leafSums returns the all-sources aggregates memoized in s when u's swaps
-// can be scored from them, and nil otherwise: SUM swap costs, u a leaf
-// whose one edge is its drop candidate (left in s.buf), the network
-// connected, and s holding the aggregates of its current version (MemoCost
-// or AllCosts filled them; a scan never starts the pass itself).
-func (s *Scratch) leafSums(b *base, g graph.Store, u int, drops dropFunc, model costModel) []graph.BFSResult {
-	if b.kind != Sum || model != modelSwap {
+// can be scored from them, and nil otherwise: SUM costs, u a leaf whose
+// one edge is its drop candidate (left in s.buf), the network connected,
+// and s holding the aggregates of its current version (MemoCost or
+// AllCosts filled them; a scan never starts the pass itself).
+func (s *Scratch) leafSums(b *base, g graph.Store, u int, drops dropFunc) []graph.BFSResult {
+	if b.kind != Sum {
 		return nil
 	}
 	res := s.warmSums(g)
@@ -152,133 +152,48 @@ func (s *Scratch) leafScores(n int, res []graph.BFSResult) {
 	}
 }
 
-// swapAny reports whether u has a strictly improving single-edge swap. It
-// exits as soon as one is found. A SUM leaf on a network version whose
-// aggregates s holds is decided from them (see leafScores). Otherwise,
-// with a distance oracle installed (swap games have no edge-cost term, so
-// costs are pure distances) each target is first checked against its
-// oracle bound; hopeless targets cost no search at all, and the
-// neighbour-row preparation itself is deferred until some target survives
-// — a happy agent is then certified without a single BFS. With a landmark
-// oracle instead, one probe search arms the triangle-inequality filter
-// (see landmark.go), and again the neighbour rows are only built once some
-// target's bound survives.
-func swapAny(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch) bool {
-	if res := s.leafSums(b, g, u, drops, model); res != nil {
-		cur := swapPrepare(b, g, u, drops, model, s)
-		s.leafScores(g.N(), res)
-		for _, dist := range s.score {
-			if dist < cur.Dist {
-				return true
-			}
-		}
-		return false
+// swapScan is the one enumerator of single-edge swaps: it offers f every
+// (drop x, add y) pair of u, drops outermost, in candidate order. Each
+// scan picks its scoring and pruning once:
+//
+//   - a SUM leaf on a network version whose aggregates s holds is scored
+//     from them (see leafScores);
+//   - with a distance oracle (swap games have no edge-cost term, so costs
+//     are pure distances) each target's oracle bound, and for SUM the pair
+//     bound that folds in the drop's penalty, is checked against the
+//     fold's limit before the target's row is ever built;
+//   - with an armed landmark filter instead, each target's landmark bound
+//     is checked the same way, and at scale the targets that survive it at
+//     the scan's opening limit are scored up front through the batched
+//     kernel (see lmBatchScores);
+//   - otherwise every pair is delta-scored.
+//
+// The limit only ever tightens during a scan, so every pair the loop
+// scores has a batched score. Probes first try swapAny, which settles
+// oracle and landmark scans before any neighbour row is built.
+func swapScan(b *base, g graph.Store, u int, drops dropFunc, f *fold) {
+	s := f.s
+	leaf := s.leafSums(b, g, u, drops)
+	if leaf == nil && f.q == probeQuery && swapAny(b, g, u, drops, f) {
+		return
 	}
-	if model == modelSwap && s.oracle == nil && s.lmk != nil {
-		s.buf = drops(g, u, s.buf[:0])
-		if len(s.buf) == 0 {
-			return false
-		}
-		s.deltaBegin(g, u)
-		if s.lmProbe(g, u, b.kind) {
-			s.buf2 = b.swapTargets(g, u, s.buf2[:0])
-			cur := s.lm.curSum
-			if b.kind == Max {
-				cur = s.lm.curEcc
-			}
-			if s.delta.dn >= deltaBatchMinN {
-				// At scale the surviving targets' rows go through the
-				// batched kernel, 64 per group, instead of one search each.
-				return s.lmAnyImproving(g, u, b.kind, cur)
-			}
-			for _, y := range s.buf2 {
-				if s.lmTargetBound(y, b.kind) >= cur {
-					continue
-				}
-				s.deltaInit(g, u)
-				for _, x := range s.buf {
-					if s.deltaSwapDist(g, u, x, y, b.kind) < cur {
-						return true
-					}
-				}
-			}
-			return false
-		}
-	}
-	if model == modelSwap && s.oracle != nil {
-		s.buf = drops(g, u, s.buf[:0])
-		if len(s.buf) == 0 {
-			return false
-		}
-		s.buf2 = b.swapTargets(g, u, s.buf2[:0])
-		s.deltaBegin(g, u)
-		cur := s.deltaOracleCurDist(u, b.kind)
-		for _, y := range s.buf2 {
-			bound, _ := s.deltaTargetBound(u, y, b.kind, cur)
-			if bound >= cur {
-				continue
-			}
-			s.deltaInit(g, u)
-			for _, x := range s.buf {
-				if b.kind == Sum && s.deltaPairBoundSum(u, x, y, bound) >= cur {
-					continue
-				}
-				if s.deltaSwapDist(g, u, x, y, b.kind) < cur {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	cur := swapPrepare(b, g, u, drops, model, s)
-	for _, x := range s.buf {
-		halves := deltaSwapHalves(g, u, x, model)
-		for _, y := range s.buf2 {
-			c := Cost{Halves: halves, Dist: s.deltaSwapDist(g, u, x, y, b.kind)}
-			if c.Less(cur, b.alpha) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// swapScan appends every strictly improving single-edge swap of u to dst.
-// The moves' Drop/Add slices are pooled in s and remain valid only until
-// the next enumeration on s; callers that retain them must Clone.
-func swapScan(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch, dst []Move) []Move {
-	s.pool = s.pool[:0]
-	cur := swapPrepare(b, g, u, drops, model, s)
-	leaf := s.leafSums(b, g, u, drops, model)
+	f.begin(Cost{Dist: swapPrepare(b, g, u, drops, s)})
 	if leaf != nil {
 		s.leafScores(g.N(), leaf)
 	}
-	prune := leaf == nil && model == modelSwap && s.oracle != nil
-	lmPrune := leaf == nil && model == modelSwap && s.oracle == nil && s.lmk != nil &&
-		s.lmArm(u, b.kind)
-	// A leaf's scores come from the aggregates; at scale the targets that
-	// survive the landmark bound are scored up front through the batched
-	// kernel. The emission loop below then only looks scores up, in
-	// unchanged order.
-	scored := leaf != nil || lmPrune && s.lmBatchScores(g, u, b.kind, cur.Dist, true)
+	prune := leaf == nil && s.oracle != nil
+	lmPrune := leaf == nil && s.oracle == nil && s.lmk != nil && s.lmArm(u, b.kind)
+	scored := leaf != nil || lmPrune && s.lmBatchScores(g, u, b.kind, f.limit())
 	nt := len(s.buf2)
 	for xi, x := range s.buf {
-		halves := deltaSwapHalves(g, u, x, model)
 		for yi, y := range s.buf2 {
 			if prune {
-				// A target whose oracle bound cannot beat the current
-				// cost yields no improving swap for any drop; for SUM the
-				// pair bound also folds in this drop's penalty.
-				bound, _ := s.deltaTargetBound(u, y, b.kind, cur.Dist)
-				if bound >= cur.Dist {
-					continue
-				}
-				if b.kind == Sum && s.deltaPairBoundSum(u, x, y, bound) >= cur.Dist {
+				bound, _ := s.deltaTargetBound(u, y, b.kind, f.limit())
+				if f.prunesDist(bound) || b.kind == Sum && f.prunesDist(s.deltaPairBoundSum(u, x, y, bound)) {
 					continue
 				}
 			}
-			// The landmark bound likewise holds for every drop.
-			if lmPrune && s.lmTargetBound(y, b.kind) >= cur.Dist {
+			if lmPrune && f.prunesDist(s.lmTargetBound(y, b.kind)) {
 				continue
 			}
 			var dist int64
@@ -287,76 +202,71 @@ func swapScan(b *base, g graph.Store, u int, drops dropFunc, model costModel, s 
 			} else {
 				dist = s.deltaSwapDist(g, u, x, y, b.kind)
 			}
-			c := Cost{Halves: halves, Dist: dist}
-			if c.Less(cur, b.alpha) {
-				dst = append(dst, Move{Agent: u, Drop: s.single(x), Add: s.single(y)})
+			if !f.offer(Cost{Dist: dist}, []int{x}, []int{y}) {
+				return
 			}
 		}
 	}
-	return dst
 }
 
-// swapBest returns the best strictly improving swaps of u and their cost.
-// Like swapScan, the returned moves' Drop/Add slices are pooled in s.
-func swapBest(b *base, g graph.Store, u int, drops dropFunc, model costModel, s *Scratch, dst []Move) ([]Move, Cost) {
-	s.pool = s.pool[:0]
-	cur := swapPrepare(b, g, u, drops, model, s)
-	best := cur
-	start := len(dst)
-	leaf := s.leafSums(b, g, u, drops, model)
-	if leaf != nil {
-		s.leafScores(g.N(), leaf)
+// swapAny settles a probe without the neighbour rows where it can, and
+// reports whether it did. With a distance oracle installed, each target is
+// first checked against its oracle bound; hopeless targets cost no search
+// at all, and the neighbour-row preparation itself is deferred until some
+// target survives — a happy agent is then certified without a single BFS.
+// With a landmark oracle instead, one probe search arms the
+// triangle-inequality filter (see landmark.go), and again the neighbour
+// rows are only built once some target's bound survives. Otherwise the
+// probe runs the plain loop of swapScan.
+func swapAny(b *base, g graph.Store, u int, drops dropFunc, f *fold) bool {
+	s := f.s
+	if s.oracle == nil && s.lmk == nil {
+		return false
 	}
-	prune := leaf == nil && model == modelSwap && s.oracle != nil
-	lmPrune := leaf == nil && model == modelSwap && s.oracle == nil && s.lmk != nil &&
-		s.lmArm(u, b.kind)
-	// The running best only descends from cur, so the non-strict memo set
-	// (bound <= cur) covers every pair the emission loop keeps.
-	scored := leaf != nil || lmPrune && s.lmBatchScores(g, u, b.kind, cur.Dist, false)
-	nt := len(s.buf2)
-	for xi, x := range s.buf {
-		halves := deltaSwapHalves(g, u, x, model)
-		for yi, y := range s.buf2 {
-			if prune {
-				// A target bounded strictly above the running best can
-				// neither improve on it nor tie it; for SUM the pair
-				// bound also folds in this drop's penalty.
-				bound, _ := s.deltaTargetBound(u, y, b.kind, best.Dist+1)
-				if bound > best.Dist {
-					continue
-				}
-				if b.kind == Sum && s.deltaPairBoundSum(u, x, y, bound) > best.Dist {
-					continue
-				}
-			}
-			// A landmark bound strictly above the running best can
-			// neither improve on it nor tie it, whatever the drop.
-			if lmPrune && s.lmTargetBound(y, b.kind) > best.Dist {
+	if s.buf = drops(g, u, s.buf[:0]); len(s.buf) == 0 {
+		return true // nothing to swap
+	}
+	s.deltaBegin(g, u)
+	if s.oracle != nil {
+		f.begin(Cost{Dist: s.deltaOracleCurDist(u, b.kind)})
+	} else {
+		if !s.lmProbe(g, u, b.kind) {
+			return false
+		}
+		cur := s.lm.curSum
+		if b.kind == Max {
+			cur = s.lm.curEcc
+		}
+		f.begin(Cost{Dist: cur})
+	}
+	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
+	if s.oracle == nil && s.delta.dn >= deltaBatchMinN {
+		// At scale the surviving targets' rows go through the batched
+		// kernel, 64 per group, instead of one search each.
+		s.lmAnyImproving(g, u, b.kind, f)
+		return true
+	}
+	for _, y := range s.buf2 {
+		var bound int64
+		if s.oracle != nil {
+			bound, _ = s.deltaTargetBound(u, y, b.kind, f.limit())
+		} else {
+			bound = s.lmTargetBound(y, b.kind)
+		}
+		if f.prunesDist(bound) {
+			continue
+		}
+		s.deltaInit(g, u)
+		for _, x := range s.buf {
+			if s.oracle != nil && b.kind == Sum && f.prunesDist(s.deltaPairBoundSum(u, x, y, bound)) {
 				continue
 			}
-			var dist int64
-			if scored {
-				dist = s.score[xi*nt+yi]
-			} else {
-				dist = s.deltaSwapDist(g, u, x, y, b.kind)
-			}
-			c := Cost{Halves: halves, Dist: dist}
-			switch c.Cmp(best, b.alpha) {
-			case -1:
-				dst = dst[:start]
-				dst = append(dst, Move{Agent: u, Drop: s.single(x), Add: s.single(y)})
-				best = c
-			case 0:
-				if best.Less(cur, b.alpha) {
-					dst = append(dst, Move{Agent: u, Drop: s.single(x), Add: s.single(y)})
-				}
+			if !f.offer(Cost{Dist: s.deltaSwapDist(g, u, x, y, b.kind)}, []int{x}, []int{y}) {
+				return true
 			}
 		}
 	}
-	if !best.Less(cur, b.alpha) {
-		return dst[:start], cur
-	}
-	return dst, best
+	return true
 }
 
 var (

@@ -29,8 +29,6 @@ type Landmarks struct {
 	// reached is the per-row component size; Complete reports all rows
 	// cover the graph, the precondition for bound-based filtering.
 	reached []int
-	// g is the attached graph of observer-style maintenance (Attach).
-	g Store
 	// selection and repair arenas.
 	minD    []int32
 	tmp     []int32
@@ -235,32 +233,6 @@ func (lm *Landmarks) Apply(g Store, u int, drop, add []int) {
 	}
 	lm.flushRefresh(g)
 }
-
-// Attach installs the oracle as g's mutation observer, so every AddEdge and
-// RemoveEdge repairs the rows in step with the graph. Use Apply instead when
-// the observer slot is taken (e.g. by state fingerprinting).
-func (lm *Landmarks) Attach(g Store) {
-	lm.g = g
-	g.SetObserver(lm)
-}
-
-// EdgeAdded implements EdgeObserver for an Attach-ed oracle.
-func (lm *Landmarks) EdgeAdded(owner, v int) {
-	lm.refresh = lm.refresh[:0]
-	for i := 0; i < lm.k; i++ {
-		lm.addRepair(lm.g, i, owner, v)
-	}
-}
-
-// EdgeRemoved implements EdgeObserver for an Attach-ed oracle.
-func (lm *Landmarks) EdgeRemoved(owner, v int) {
-	lm.refresh = lm.refresh[:0]
-	lm.dropRepair(lm.g, owner, v)
-	lm.flushRefresh(lm.g)
-}
-
-// OwnerChanged implements EdgeObserver; ownership never moves distances.
-func (lm *Landmarks) OwnerChanged(owner, v int) {}
 
 // queued reports whether row i awaits a batched full re-search.
 func (lm *Landmarks) queued(i int) bool {

@@ -156,34 +156,6 @@ func TestLandmarksApplySingles(t *testing.T) {
 	checkRows(t, g, lm, "single final")
 }
 
-// TestLandmarksObserver drives the same mutations through the EdgeObserver
-// hook installed by Attach.
-func TestLandmarksObserver(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	g := randConnected(36, 10, r)
-	lm := BuildLandmarks(g, 6, nil)
-	lm.Attach(g)
-	defer g.SetObserver(nil)
-	for step := 0; step < 250; step++ {
-		u := r.Intn(g.N())
-		if r.Intn(2) == 0 && g.Degree(u) > 0 {
-			var nbrs []int
-			nbrs = g.NeighborList(u, nbrs[:0])
-			g.RemoveEdge(u, nbrs[r.Intn(len(nbrs))])
-		} else {
-			v := r.Intn(g.N())
-			if v == u || g.HasEdge(u, v) {
-				continue
-			}
-			g.AddEdge(u, v)
-		}
-		if step%31 == 0 {
-			checkRows(t, g, lm, "observer")
-		}
-	}
-	checkRows(t, g, lm, "observer final")
-}
-
 // TestLandmarksApplyMulti exercises the multi-edge fallback (full batched
 // re-search).
 func TestLandmarksApplyMulti(t *testing.T) {

@@ -10,7 +10,8 @@ import (
 // candidate realizes. It is the unit the campaign spine shards figure
 // sweeps over: indices decode independently (At), checks run on one
 // worker-owned closure each (NewCheck), and survivors in index order are
-// exactly the sequential candidate lists of this package.
+// exactly what a sequential run of the same check over the same indices
+// keeps (Fig6CandidatesMinimal and Fig10Candidates for their families).
 type Family struct {
 	// Name identifies the family in campaign records.
 	Name string
@@ -33,7 +34,7 @@ type Family struct {
 }
 
 // fig5Specs builds the sixteen shape combinations of the Figure 5 family
-// in the nested order of Fig5Candidates (A outermost, D innermost).
+// in nested order (A outermost, D innermost).
 func fig5Specs() []*AssembleSpec {
 	var specs []*AssembleSpec
 	for _, a := range []GroupShape{Chain, StarShape} {
@@ -67,8 +68,7 @@ func specsFamily(name string, n int, specs []*AssembleSpec, gm func(n int) game.
 }
 
 // Fig5Family is the strict Figure 5 sweep (SUM-ASG, 19 agents, every prose
-// fact of the proof) as an indexed family: campaign hits in index order
-// coincide with Fig5Candidates.
+// fact of the proof, see fig5Check) as an indexed family.
 func Fig5Family() Family {
 	return specsFamily("fig5-sum-asg", 19, fig5Specs(),
 		func(int) game.Game { return game.NewAsymSwap(game.Sum) },
@@ -81,8 +81,8 @@ func Fig5Family() Family {
 }
 
 // Fig5MinimalFamily relaxes the Figure 5 sweep to the bare theorem
-// requirements (the four designated moves are best responses and the
-// trajectory closes), matching Fig5CandidatesMinimal.
+// requirements: the four designated moves are best responses and the
+// trajectory closes (figCycleMinimal).
 func Fig5MinimalFamily() Family {
 	return specsFamily("fig5-sum-asg-minimal", 19, fig5Specs(),
 		func(int) game.Game { return game.NewAsymSwap(game.Sum) },
@@ -95,8 +95,8 @@ func Fig5MinimalFamily() Family {
 		fig5Moves())
 }
 
-// Fig6Family is the strict Figure 6 sweep (MAX-ASG, 20 agents) under the
-// given filter options, matching Fig6Candidates.
+// Fig6Family is the strict Figure 6 sweep (MAX-ASG, 20 agents, see
+// fig6Check) under the given filter options.
 func Fig6Family(opt Fig6Options) Family {
 	spec := fig6AssembleSpec(0, nil)
 	return Family{

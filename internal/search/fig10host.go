@@ -113,8 +113,3 @@ func fig10HostCheck(base *graph.Graph) bool {
 	}
 	return true
 }
-
-// OwnershipVariantsForTest exposes ownershipVariants for diagnostics.
-func OwnershipVariantsForTest(g *graph.Graph, ownless []int) []*graph.Graph {
-	return ownershipVariants(g, ownless)
-}

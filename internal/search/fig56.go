@@ -49,27 +49,6 @@ type Fig5Spec struct {
 	AShape, BShape, CShape, DShape GroupShape
 }
 
-// Candidates enumerates assemblies of the Figure 5 family under the spec's
-// shapes and keeps those satisfying the proof's facts:
-//
-//	G1: a1's only improving move is the swap a1b1 -> a1c1, saving 1;
-//	G2: b1's best swaps save 2 and include {a3, a4};
-//	G3: a1's only improving move is the swap back to b1, saving 1;
-//	G4: b1's only improving move is the swap back to d1, saving 1.
-func (sp Fig5Spec) Candidates(limit int) []*graph.Graph {
-	gm := game.NewAsymSwap(game.Sum)
-	s := game.NewScratch(19)
-	return sp.candidatesWith(limit, func(g *graph.Graph) bool {
-		return fig5Check(g, gm, s)
-	})
-}
-
-// candidatesWith runs the Figure 5 assembly family against an arbitrary
-// checker.
-func (sp Fig5Spec) candidatesWith(limit int, check func(g *graph.Graph) bool) []*graph.Graph {
-	return sp.assembleSpec(limit, check).Run()
-}
-
 // assembleSpec builds the Figure 5 assembly family of the shape
 // combination: the forced oscillating edges, the shaped group chains and
 // the three connector pools.
@@ -109,51 +88,6 @@ func (sp Fig5Spec) assembleSpec(limit int, check func(g *graph.Graph) bool) *Ass
 		Check:  check,
 		Limit:  limit,
 	}
-}
-
-// Fig5Candidates searches every shape combination in deterministic order.
-func Fig5Candidates(limit int) []*graph.Graph {
-	var out []*graph.Graph
-	for _, a := range []GroupShape{Chain, StarShape} {
-		for _, b := range []GroupShape{Chain, StarShape} {
-			for _, c := range []GroupShape{Chain, StarShape} {
-				for _, d := range []GroupShape{Chain, StarShape} {
-					got := Fig5Spec{a, b, c, d}.Candidates(limit - len(out))
-					out = append(out, got...)
-					if limit > 0 && len(out) >= limit {
-						return out
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Fig5CandidatesMinimal relaxes the Figure 5 search to the bare theorem
-// requirements: the four designated moves are best responses and the
-// trajectory closes. Group shapes are swept as in Fig5Candidates.
-func Fig5CandidatesMinimal(limit int) []*graph.Graph {
-	gm := game.NewAsymSwap(game.Sum)
-	s := game.NewScratch(19)
-	var out []*graph.Graph
-	for _, a := range []GroupShape{Chain, StarShape} {
-		for _, b := range []GroupShape{Chain, StarShape} {
-			for _, c := range []GroupShape{Chain, StarShape} {
-				for _, d := range []GroupShape{Chain, StarShape} {
-					sp := Fig5Spec{a, b, c, d}
-					got := sp.candidatesWith(limit-len(out), func(g *graph.Graph) bool {
-						return figCycleMinimal(g, gm, s, fig5Moves())
-					})
-					out = append(out, got...)
-					if limit > 0 && len(out) >= limit {
-						return out
-					}
-				}
-			}
-		}
-	}
-	return out
 }
 
 func fig5Moves() []game.Move {
@@ -197,6 +131,13 @@ func figCycleMinimal(g0 *graph.Graph, gm game.Game, s *game.Scratch, moves []gam
 	return g.Equal(g0)
 }
 
+// fig5Check is the strict Figure 5 acceptance check (Fig5Family): the
+// candidate must satisfy the proof's facts,
+//
+//	G1: a1's only improving move is the swap a1b1 -> a1c1, saving 1;
+//	G2: b1's best swaps save 2 and include {a3, a4};
+//	G3: a1's only improving move is the swap back to b1, saving 1;
+//	G4: b1's only improving move is the swap back to d1, saving 1.
 func fig5Check(g0 *graph.Graph, gm game.Game, s *game.Scratch) bool {
 	g := g0.Clone()
 	// G1: a1's unique improving move is b1 -> c1 with delta 1.
@@ -248,24 +189,6 @@ type Fig6Options struct {
 	RequireA6Dist5 bool
 	ExactG1Targets bool // best targets exactly {e2..e5} vs superset
 	ExactG2Targets bool // exactly {a2,a3} vs superset
-}
-
-// Fig6Candidates reconstructs the Figure 6 (MAX-ASG, unit budget) network
-// from the proof's facts:
-//
-//	G1: ecc(a1) = 6 (and d(a1,a6) = 5); a1's best swaps save 1 and include
-//	    {e2..e5};
-//	G2: (the unique cycle has length 9;) ecc(b1) = 6; b1's best swaps save
-//	    1 and include {a2, a3};
-//	G3: ecc(a1) = 7 at d3, d(a1,b4) = 6; a1's best swaps are exactly
-//	    {e1,e2,e3};
-//	G4: ecc(b1) = 8 at e6; b1's best swaps are exactly {a1, e1}.
-func Fig6Candidates(opt Fig6Options, limit int) []*graph.Graph {
-	gm := game.NewAsymSwap(game.Max)
-	s := game.NewScratch(20)
-	return fig6CandidatesWith(limit, func(g *graph.Graph) bool {
-		return fig6Check(g, gm, s, opt)
-	})
 }
 
 // Fig6CandidatesMinimal relaxes the Figure 6 search to the bare theorem
@@ -349,6 +272,16 @@ func fig6AssembleSpec(limit int, check func(g *graph.Graph) bool) *AssembleSpec 
 	}
 }
 
+// fig6Check is the strict Figure 6 acceptance check (Fig6Family), which
+// reconstructs the MAX-ASG unit-budget network from the proof's facts:
+//
+//	G1: ecc(a1) = 6 (and d(a1,a6) = 5); a1's best swaps save 1 and include
+//	    {e2..e5};
+//	G2: (the unique cycle has length 9;) ecc(b1) = 6; b1's best swaps save
+//	    1 and include {a2, a3};
+//	G3: ecc(a1) = 7 at d3, d(a1,b4) = 6; a1's best swaps are exactly
+//	    {e1,e2,e3};
+//	G4: ecc(b1) = 8 at e6; b1's best swaps are exactly {a1, e1}.
 func fig6Check(g0 *graph.Graph, gm game.Game, s *game.Scratch, opt Fig6Options) bool {
 	dist := make([]int32, 20)
 	// G1 filters: ecc(a1) = 6 (and optionally d(a1, a6) = 5).
@@ -437,9 +370,4 @@ func bestSwapTargets(g *graph.Graph, gm game.Game, s *game.Scratch, u, drop int,
 		}
 	}
 	return true
-}
-
-// FigCycleMinimalForTest exposes figCycleMinimal for construction searches.
-func FigCycleMinimalForTest(g *graph.Graph, gm game.Game, s *game.Scratch, moves []game.Move) bool {
-	return figCycleMinimal(g, gm, s, moves)
 }

@@ -247,6 +247,9 @@ func TestIsBestResponseHelper(t *testing.T) {
 	if len(best) == 0 {
 		t.Fatal("leaf should improve at alpha=1")
 	}
+	// Clone: isBestResponse enumerates again on s, which reuses the pool
+	// backing best's moves.
+	best = game.CloneMoves(best)
 	if !isBestResponse(g, gm, best[0], s) {
 		t.Fatal("a best move must be accepted")
 	}

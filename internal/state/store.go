@@ -86,9 +86,6 @@ func (s *Store) N() int { return s.n }
 // Owned reports whether the store uses the ownership-aware encoding.
 func (s *Store) Owned() bool { return s.owned }
 
-// StateWords returns the per-state encoding size in words.
-func (s *Store) StateWords() int { return s.stateWords }
-
 // Count returns the number of distinct interned states. It is safe to call
 // concurrently with Intern.
 func (s *Store) Count() int { return int(s.count.Load()) }
