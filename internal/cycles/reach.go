@@ -194,16 +194,11 @@ func Explore(start *graph.Graph, gm game.Game, opt ExploreOptions) (ReachResult,
 		}
 		stable := true
 		for u := 0; u < n; u++ {
-			// Scans probe candidates by apply/undo pairs that cancel in the
-			// fingerprint; detaching the observer for the enumeration skips
-			// those wasted updates.
-			w.g.SetObserver(nil)
 			if opt.BestResponse {
 				w.moves, _ = gm.BestMoves(w.g, u, w.s, w.moves[:0])
 			} else {
 				w.moves = gm.ImprovingMoves(w.g, u, w.s, w.moves[:0])
 			}
-			w.g.SetObserver(&w.fp)
 			if len(w.moves) > 0 {
 				stable = false
 			}
@@ -349,6 +344,11 @@ func FindBestResponseCycle(start *graph.Graph, gm game.Game, maxStates int) *Fou
 // long-standing behaviour), so the reported count may overshoot the cap.
 func SearchBestResponseCycle(start *graph.Graph, gm game.Game, maxStates int) (*FoundCycle, int) {
 	n := start.N()
+	if game.PreferNaiveScan(gm, start) {
+		// The routing rule of Explore and the dynamics runner: the naive
+		// scans enumerate identical moves in identical order.
+		gm = game.Naive(gm)
+	}
 	owned := gm.OwnershipMatters()
 	tables := state.NewTables(n)
 	store := state.NewStore(n, owned, 1)

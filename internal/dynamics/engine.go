@@ -28,9 +28,6 @@ type engine struct {
 	gm      game.Game
 	workers int
 	scr     []*game.Scratch
-	// pure records that the game's queries never mutate the graph, the
-	// precondition for probing a shared graph concurrently.
-	pure bool
 	// halvesOK records that the game's edge-cost term is derivable from
 	// degrees, the precondition for serving costs from the distance cache.
 	halvesOK bool
@@ -62,7 +59,6 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	e.g = g
 	e.gm = gm
 	e.workers = workers
-	e.pure = game.ScansPurely(gm)
 	e.cache = nil
 	e.arena = r
 	if r.scrN != n {
@@ -195,7 +191,7 @@ func (e *engine) commit(mv game.Move) {
 // already be in the post-move state and pre is its AdjVersion before the
 // move. The landmark repair is invoked explicitly rather than through the
 // graph's observer slot, which cycle detection occupies with the state
-// fingerprint; the transient edge replay inside Apply fires that observer
+// fingerprint; the repair's transient edge replay fires that observer
 // symmetrically, so the fingerprint cancels back to the post-move state.
 //
 // The leaf-swap fold must run last: the landmark repair's transient
@@ -217,11 +213,11 @@ func (e *engine) afterMove(pre uint64, mv game.Move) {
 }
 
 // firstUnhappy returns the first agent of order with an improving move, or
-// -1. With multiple workers and a pure-probing game, probes run in waves of
-// one agent per worker; the waves are scanned in order, so the result is
-// independent of scheduling.
+// -1. With multiple workers, probes run in waves of one agent per worker
+// (every game's queries only read the graph); the waves are scanned in
+// order, so the result is independent of scheduling.
 func (e *engine) firstUnhappy(order []int) int {
-	if e.workers <= 1 || !e.pure || len(order) < 2 {
+	if e.workers <= 1 || len(order) < 2 {
 		s := e.scr[0]
 		for _, u := range order {
 			if e.gm.HasImproving(e.g, u, s) {
@@ -274,7 +270,7 @@ func (e *engine) firstUnhappy(order []int) int {
 // in parallel waves when possible.
 func (e *engine) unhappy(dst []int) []int {
 	n := e.g.N()
-	if e.workers <= 1 || !e.pure {
+	if e.workers <= 1 {
 		s := e.scr[0]
 		for u := 0; u < n; u++ {
 			if e.gm.HasImproving(e.g, u, s) {

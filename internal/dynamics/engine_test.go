@@ -47,30 +47,57 @@ func engineRunConfigs() []Config {
 
 // TestParallelRunIsBitIdentical: for every configuration, the trace of a
 // seeded run must be step-for-step identical between serial probing, the
-// engine fast path, and parallel probing at several worker counts.
+// engine fast path, and parallel probing at several worker counts. The
+// starts cover both scan regimes of the swap games and the GBG — naive
+// scans below n = 32, delta scans with the cost cache's oracle above —
+// and the exhaustive Buy and bilateral strategy spaces; every game's
+// probes only read the graph, so all of them run in parallel waves.
 func TestParallelRunIsBitIdentical(t *testing.T) {
-	mk := func() *graph.Graph { return gen.BudgetNetwork(24, 3, gen.NewRand(11)) }
-	for ci, cfg := range engineRunConfigs() {
-		base := cfg
-		base.Policy = plainPolicy{cfg.Policy}
-		wantRes, wantSteps, wantG := traceOf(mk, base)
-		for _, workers := range []int{0, 1, 2, 4, 7} {
-			c := cfg
-			c.Workers = workers
-			res, steps, g := traceOf(mk, c)
-			if !resultsEqual(res, wantRes) {
-				t.Fatalf("config %d workers %d: result %+v, want %+v", ci, workers, res, wantRes)
+	budget := func(n, k int, seed int64) func() *graph.Graph {
+		return func() *graph.Graph { return gen.BudgetNetwork(n, k, gen.NewRand(seed)) }
+	}
+	starts := []struct {
+		name string
+		mk   func() *graph.Graph
+		cfgs []Config
+	}{
+		{"budget-24", budget(24, 3, 11), engineRunConfigs()},
+		{"budget-40", budget(40, 3, 12), engineRunConfigs()},
+		{"buy-7", budget(7, 2, 13), []Config{
+			{Game: game.NewBuy(game.Sum, game.AlphaInt(2)), Policy: MaxCost{}, Tie: TieRandom, Seed: 4},
+			{Game: game.NewBuy(game.Max, game.NewAlpha(1, 2)), Policy: MinIndex{}, Tie: TieLast},
+		}},
+		{"bilateral-8", budget(8, 2, 14), []Config{
+			{Game: game.NewBilateral(game.Sum, game.AlphaInt(3)), Policy: MaxCost{}, Tie: TieRandom, Seed: 6},
+			{Game: game.NewBilateral(game.Max, game.AlphaInt(1)), Policy: MinIndex{}, Tie: TieFirst},
+		}},
+	}
+	for _, st := range starts {
+		for ci, cfg := range st.cfgs {
+			base := cfg
+			base.Policy = plainPolicy{cfg.Policy}
+			wantRes, wantSteps, wantG := traceOf(st.mk, base)
+			if len(wantSteps) == 0 {
+				t.Fatalf("%s config %d: the run makes no move", st.name, ci)
 			}
-			if len(steps) != len(wantSteps) {
-				t.Fatalf("config %d workers %d: %d steps, want %d", ci, workers, len(steps), len(wantSteps))
-			}
-			for i := range steps {
-				if steps[i] != wantSteps[i] {
-					t.Fatalf("config %d workers %d step %d: %s, want %s", ci, workers, i, steps[i], wantSteps[i])
+			for _, workers := range []int{0, 1, 2, 4, 7} {
+				c := cfg
+				c.Workers = workers
+				res, steps, g := traceOf(st.mk, c)
+				if !resultsEqual(res, wantRes) {
+					t.Fatalf("%s config %d workers %d: result %+v, want %+v", st.name, ci, workers, res, wantRes)
 				}
-			}
-			if !g.Equal(wantG) {
-				t.Fatalf("config %d workers %d: final networks differ", ci, workers)
+				if len(steps) != len(wantSteps) {
+					t.Fatalf("%s config %d workers %d: %d steps, want %d", st.name, ci, workers, len(steps), len(wantSteps))
+				}
+				for i := range steps {
+					if steps[i] != wantSteps[i] {
+						t.Fatalf("%s config %d workers %d step %d: %s, want %s", st.name, ci, workers, i, steps[i], wantSteps[i])
+					}
+				}
+				if !g.Equal(wantG) {
+					t.Fatalf("%s config %d workers %d: final networks differ", st.name, ci, workers)
+				}
 			}
 		}
 	}

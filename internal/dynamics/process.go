@@ -49,11 +49,11 @@ type Config struct {
 	// Seed feeds the deterministic RNG used by policy and tie-breaking.
 	Seed int64
 	// Workers sets how many goroutines fan out the per-agent happiness
-	// probes of the built-in policies; 0 or 1 probes serially. Probe
+	// probes of the built-in policies (and the scans of round play); 0 or
+	// 1 probes serially. Every game's probes only read the graph, probe
 	// results are collected in deterministic order and the cost cache is
 	// exact, so the trace of a seeded run is identical at any worker
-	// count. Games whose probes mutate the graph transiently (Buy,
-	// Bilateral) are always probed serially.
+	// count.
 	Workers int
 	// Oracle selects the distance-oracle mode backing scans and cost
 	// reads. The zero value (auto) resolves by run size: exact below

@@ -11,9 +11,9 @@ import (
 
 // Round-based execution. Each round freezes the network, activates an
 // agent set, computes every activated agent's best response against the
-// frozen snapshot — fanned over the worker pool when the game's scans are
-// read-only (game.ScansPurely) — and commits the responses in activation
-// order under the collision policy. All randomness (policy picks, the
+// frozen snapshot — fanned over the worker pool, since every game's scans
+// only read the graph — and commits the responses in activation order
+// under the collision policy. All randomness (policy picks, the
 // shuffle, tie-break draws) is consumed serially in deterministic order
 // between the parallel phases, so a seeded round run is bit-identical at
 // any worker count.
@@ -131,10 +131,6 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 		rs.pairSeen = make(map[game.PairKey]struct{})
 		rs.pairCount = make(map[game.PairKey]int)
 	}
-	// Parallel scans need read-only enumeration; the shared snapshot is
-	// otherwise scanned serially (transient mutations are undone before the
-	// next agent's scan, so snapshot semantics still hold).
-	parallelOK := e.workers > 1 && game.ScansPurely(cfg.Game)
 
 	var res Result
 	res.Kinds = r.kinds[:0]
@@ -182,7 +178,7 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 		// functions of the activation list alone.
 		nAgents := len(rs.active)
 		nw := 1
-		if parallelOK && nAgents > 1 {
+		if e.workers > 1 && nAgents > 1 {
 			nw = min(e.workers, nAgents)
 		}
 		for len(rs.scan) < nw {

@@ -153,9 +153,9 @@ func (r *Runner) Run(g graph.Store, cfg Config) Result {
 		} else {
 			r.store.Reset(n, owned)
 		}
-		// The fingerprint rides along every mutation of the run — the
-		// moves applied below and the transient apply/undo pairs of
-		// candidate probing, which cancel exactly.
+		// The fingerprint rides along every mutation of the run: the
+		// moves applied below (candidate probing never mutates the
+		// graph).
 		r.fp.Attach(r.tables, g)
 		defer g.SetObserver(nil)
 		r.steps = r.steps[:0]

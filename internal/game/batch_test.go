@@ -165,29 +165,3 @@ func TestApplySetOrderIndependence(t *testing.T) {
 		}
 	}
 }
-
-// TestScansPurely: the delta-evaluated games scan purely; the naive
-// reference wrapper and the transiently-mutating enumerations do not.
-func TestScansPurely(t *testing.T) {
-	pure := []Game{
-		NewSwap(Sum), NewSwap(Max),
-		NewAsymSwap(Sum), NewAsymSwap(Max),
-		NewGreedyBuy(Sum, NewAlpha(3, 2)), NewGreedyBuy(Max, NewAlpha(3, 2)),
-	}
-	for _, gm := range pure {
-		if !ScansPurely(gm) {
-			t.Errorf("%s: ScansPurely = false, want true", gm.Name())
-		}
-		if ScansPurely(Naive(gm)) {
-			t.Errorf("Naive(%s): ScansPurely = true, want false", gm.Name())
-		}
-	}
-	impure := []Game{
-		NewBuy(Sum, AlphaInt(2)), NewBilateral(Sum, AlphaInt(4)),
-	}
-	for _, gm := range impure {
-		if ScansPurely(gm) {
-			t.Errorf("%s: ScansPurely = true, want false", gm.Name())
-		}
-	}
-}

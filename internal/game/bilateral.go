@@ -66,6 +66,7 @@ func (bl *Bilateral) scan(g graph.Store, u int, f *fold) {
 		}
 	}
 	var drop, add []int
+masks:
 	for mask := uint32(0); mask < 1<<uint(len(cands)); mask++ {
 		if mask == curMask {
 			continue
@@ -80,41 +81,35 @@ func (bl *Bilateral) scan(g graph.Store, u int, f *fold) {
 				add = append(add, v)
 			}
 		}
-		ap := Apply(g, Move{Agent: u, Drop: drop, Add: add})
-		feasible := true
+		m := Move{Agent: u, Drop: drop, Add: add}
 		for _, v := range add {
-			if preCost[v].Less(agentCost(g, v, bl.kind, modelBilateral, s), bl.alpha) {
-				feasible = false
-				break
+			if !bl.consents(g, m, v, preCost[v], s) {
+				continue masks
 			}
 		}
-		var c Cost
-		if feasible {
-			c = agentCost(g, u, bl.kind, modelBilateral, s)
-		}
-		ap.Undo()
-		if feasible && !f.offer(c, drop, add) {
+		if !f.offer(movedCost(g, u, m, bl.kind, modelBilateral, s), drop, add) {
 			return
 		}
 	}
+}
+
+// consents reports whether v, a new neighbour under strategy change m,
+// agrees to it: v's cost in the network m would produce does not exceed
+// pre, v's current cost.
+func (bl *Bilateral) consents(g graph.Store, m Move, v int, pre Cost, s *Scratch) bool {
+	return !pre.Less(movedCost(g, v, m, bl.kind, modelBilateral, s), bl.alpha)
 }
 
 // Blocks reports whether agent u's strategy change m would be blocked, and
 // by whom: the returned list holds every new neighbour whose cost strictly
 // increases. An empty list means the move is feasible.
 func (bl *Bilateral) Blocks(g graph.Store, m Move, s *Scratch) []int {
-	pre := make(map[int]Cost, len(m.Add))
-	for _, v := range m.Add {
-		pre[v] = agentCost(g, v, bl.kind, modelBilateral, s)
-	}
-	ap := Apply(g, m)
 	var blockers []int
 	for _, v := range m.Add {
-		if pre[v].Less(agentCost(g, v, bl.kind, modelBilateral, s), bl.alpha) {
+		if !bl.consents(g, m, v, agentCost(g, v, bl.kind, modelBilateral, s), s) {
 			blockers = append(blockers, v)
 		}
 	}
-	ap.Undo()
 	return blockers
 }
 

@@ -67,8 +67,8 @@ func (bg *Buy) strategyCandidates(g graph.Store, u int, dst []int) []int {
 }
 
 // scan is the one enumerator of u's strategies: it offers f the move to
-// every strategy other than the current one, with u's cost after it
-// (apply, search, undo). A probe is first offered the single-edge
+// every strategy other than the current one, with u's cost after it (one
+// search of the edited network, see movedCost). A probe is first offered the single-edge
 // additions and deletions, delta-evaluated (see delta.go) without touching
 // the graph: when one of them already improves — the common case along a
 // dynamics trajectory — the exponential enumeration never runs. They are a
@@ -105,7 +105,7 @@ func (bg *Buy) scan(g graph.Store, u int, f *fold) {
 				add = append(add, v)
 			}
 		}
-		c := evalMove(g, Move{Agent: u, Drop: drop, Add: add}, bg.kind, modelUnilateral, s)
+		c := movedCost(g, u, Move{Agent: u, Drop: drop, Add: add}, bg.kind, modelUnilateral, s)
 		if !f.offer(c, drop, add) {
 			return
 		}

@@ -1,14 +1,17 @@
 package game
 
 import (
+	"slices"
+
 	"ncg/internal/graph"
 )
 
 // Game is the strategic substrate a network creation process runs on: it
 // defines agent costs and the admissible strategy changes of Section 1.1.
 //
-// All methods must be safe for concurrent use on distinct (g, s) pairs; a
-// Scratch must not be shared between goroutines.
+// All methods only read g, so concurrent calls on one network are safe
+// as long as each goroutine has its own Scratch; a Scratch must not be
+// shared between goroutines.
 type Game interface {
 	// Name is a short identifier such as "SUM-ASG".
 	Name() string
@@ -192,6 +195,9 @@ type Scratch struct {
 	buf2   []int
 	nbrs   []int
 	set    graph.Bitset
+	// edit backs the one-element Drop and Add lists of the naive scans'
+	// candidate moves.
+	edit [2]int
 
 	// delta holds the lazily allocated state of delta-evaluated scans
 	// (see delta.go).
@@ -299,11 +305,42 @@ func agentCost(g graph.Store, u int, kind DistKind, model costModel, s *Scratch)
 	return c
 }
 
-// evalMove applies m, computes the mover's cost, and undoes m.
-func evalMove(g graph.Store, m Move, kind DistKind, model costModel, s *Scratch) Cost {
-	ap := Apply(g, m)
-	c := agentCost(g, m.Agent, kind, model, s)
-	ap.Undo()
+// movedCost returns agent v's cost in the network that move m would
+// produce, without producing it: the distance term comes from one search
+// of the edited network (graph.Store's BFSEdited), which leaves g, its
+// AdjVersion and its observer untouched, and the edge-cost halves from v's
+// degrees adjusted by the move. Added edges are owned by the mover; a
+// dropped edge leaves whichever endpoint owned it.
+func movedCost(g graph.Store, v int, m Move, kind DistKind, model costModel, s *Scratch) Cost {
+	r := g.BFSEdited(v, m.Agent, m.Drop, m.Add, nil, s.bfs)
+	c := Cost{Dist: distCost(r, g.N(), kind)}
+	u := m.Agent
+	switch model {
+	case modelUnilateral:
+		out := g.OutDegree(v)
+		if v == u {
+			out += len(m.Add)
+			for _, x := range m.Drop {
+				if g.Owns(u, x) {
+					out--
+				}
+			}
+		} else if g.Owns(v, u) && slices.Contains(m.Drop, v) {
+			out--
+		}
+		c.Halves = 2 * int64(out)
+	case modelBilateral:
+		deg := g.Degree(v)
+		switch {
+		case v == u:
+			deg += len(m.Add) - len(m.Drop)
+		case slices.Contains(m.Drop, v):
+			deg--
+		case slices.Contains(m.Add, v):
+			deg++
+		}
+		c.Halves = int64(deg)
+	}
 	return c
 }
 

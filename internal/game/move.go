@@ -130,8 +130,10 @@ func ApplyMove(g graph.Store, m Move) {
 	}
 }
 
-// Applied records the reversible effect of a move so it can be undone; it is
-// the mechanism behind candidate evaluation (apply, BFS, undo).
+// Applied records the reversible effect of a move so it can be undone, for
+// callers that step into a successor state and back (state-graph
+// searches, round commits). Candidate evaluation never applies moves; it
+// searches the edited network read-only (see movedCost).
 type Applied struct {
 	g           graph.Store
 	agent       int

@@ -49,7 +49,8 @@ func multiSwaps(gm Game, maxK int) scanFunc {
 
 // multiSwapScan is the one enumerator of u's multi-swaps under gm: k = 1,
 // 2, ... swapped edges, drop sets outermost, each set in candidate order,
-// every candidate scored by apply, search, undo.
+// every candidate scored by one search of the network it would produce
+// (see movedCost).
 func multiSwapScan(gm Game, g graph.Store, u int, maxK int, f *fold) {
 	drops, b := multiSwapDrops(gm, g, u)
 	targets := b.swapTargets(g, u, nil)
@@ -68,7 +69,7 @@ func multiSwapScan(gm Game, g graph.Store, u int, maxK int, f *fold) {
 	chooseTargets = func(k, from int) {
 		if len(tsel) == k {
 			m := Move{Agent: u, Drop: dsel, Add: tsel}
-			f.offer(evalMove(g, m, b.kind, modelSwap, f.s), dsel, tsel)
+			f.offer(movedCost(g, u, m, b.kind, modelSwap, f.s), dsel, tsel)
 			return
 		}
 		for i := from; i < len(targets); i++ {

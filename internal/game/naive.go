@@ -5,27 +5,30 @@ import (
 )
 
 // Reference implementations of the best-response scans that re-evaluate
-// every candidate strategy change with a full BFS (apply, search, undo).
-// They predate the delta evaluator of delta.go and are kept as the ground
-// truth for equivalence tests and before/after benchmarks. Unlike the
-// delta scans they mutate the graph transiently, so they must never run
-// concurrently on a shared graph.
+// every candidate strategy change with a full BFS of the network it would
+// produce (see movedCost). They predate the delta evaluator of delta.go
+// and are kept as the ground truth for equivalence tests and before/after
+// benchmarks; on small networks they are also the faster scans (see
+// PreferNaiveScan). Like the delta scans they only read the graph.
 
-// evalSwap computes u's cost after swapping the edge {u,x} to {u,y},
-// mutating g in place and restoring it (including the original owner of
-// {u,x}) before returning. It allocates nothing.
+// evalSwap computes u's cost after swapping the edge {u,x} to {u,y}. It
+// allocates nothing.
 func evalSwap(b *base, g graph.Store, u, x, y int, model costModel, s *Scratch) Cost {
-	owner := g.Owner(u, x)
-	g.RemoveEdge(u, x)
-	g.AddEdge(u, y)
-	c := agentCost(g, u, b.kind, model, s)
-	g.RemoveEdge(u, y)
-	if owner == u {
-		g.AddEdge(u, x)
-	} else {
-		g.AddEdge(x, u)
+	return movedCost(g, u, s.oneEdit(u, x, y), b.kind, model, s)
+}
+
+// oneEdit returns the move of u that drops x (none if x < 0) and adds y
+// (none if y < 0), its lists backed by s.edit.
+func (s *Scratch) oneEdit(u, x, y int) Move {
+	m := Move{Agent: u}
+	s.edit = [2]int{x, y}
+	if x >= 0 {
+		m.Drop = s.edit[0:1]
 	}
-	return c
+	if y >= 0 {
+		m.Add = s.edit[1:2]
+	}
+	return m
 }
 
 // swapAnyNaive is the full-BFS form of the swap games' HasImproving.
@@ -95,9 +98,7 @@ func (gb *GreedyBuy) forEachGreedyMoveNaive(g graph.Store, u int, s *Scratch, fn
 	s.buf2 = gb.swapTargets(g, u, s.buf2[:0])
 	// Deletions.
 	for _, x := range s.buf {
-		g.RemoveEdge(u, x)
-		c := agentCost(g, u, gb.kind, modelUnilateral, s)
-		g.AddEdge(u, x)
+		c := movedCost(g, u, s.oneEdit(u, x, -1), gb.kind, modelUnilateral, s)
 		if !fn(x, -1, c) {
 			return
 		}
@@ -113,9 +114,7 @@ func (gb *GreedyBuy) forEachGreedyMoveNaive(g graph.Store, u int, s *Scratch, fn
 	}
 	// Additions.
 	for _, y := range s.buf2 {
-		g.AddEdge(u, y)
-		c := agentCost(g, u, gb.kind, modelUnilateral, s)
-		g.RemoveEdge(u, y)
+		c := movedCost(g, u, s.oneEdit(u, -1, y), gb.kind, modelUnilateral, s)
 		if !fn(-1, y, c) {
 			return
 		}
@@ -244,9 +243,10 @@ const smallNaiveN = 32
 // while the early-exiting naive probes are near optimal (the Theorem 2.11
 // path gadget is the canonical instance). Swap variants preserve the edge
 // count, so a tree stays a tree for the whole run; the vertex count never
-// changes; so neither pre-check needs revisiting mid-run. Process engines
-// use this to fall back to the naive scans, which enumerate identical
-// moves in identical order.
+// changes; so neither pre-check needs revisiting mid-run. The dynamics
+// runner, the state-graph explorer (Explore) and the cycle search
+// (SearchBestResponseCycle) apply this one rule to fall back to the naive
+// scans, which enumerate identical moves in identical order.
 func PreferNaiveScan(gm Game, g graph.Store) bool {
 	if ng, ok := gm.(naiveGame); ok {
 		gm = ng.Game

@@ -1,5 +1,7 @@
 package graph
 
+import "math/bits"
+
 // Unreachable is the distance reported for vertices in a different connected
 // component. It is large enough that no sum of n-1 real distances can reach
 // it, yet small enough that sums of a few Unreachable values do not
@@ -16,6 +18,12 @@ type BFSScratch struct {
 	// queue backs the sparse backend's level-order walk; it grows on
 	// demand, so dense-only users never allocate it.
 	queue []int32
+	// row and mark serve BFSEdited beyond one word: row holds the
+	// mover's edited adjacency row (dense backend), mark the mover and the
+	// other endpoints of its edited edges (CSR backend). Both are
+	// allocated on first use.
+	row  Bitset
+	mark Bitset
 }
 
 // NewBFSScratch returns scratch space for BFS on n-vertex graphs.
@@ -60,45 +68,185 @@ func (g *Graph) BFSExcluding(src, excl int, dist []int32, s *BFSScratch) BFSResu
 	return g.bfsFrom(src, excl, dist, s)
 }
 
-// bfsFrom is the shared BFS core; excl < 0 means no vertex is excluded.
-func (g *Graph) bfsFrom(src, excl int, dist []int32, s *BFSScratch) BFSResult {
-	s.visited.Reset()
-	s.frontier.Reset()
-	if dist != nil {
-		for i := range dist {
-			dist[i] = Unreachable
+// BFSEdited computes shortest-path distances from src in the network that
+// results when agent u drops its edges to every vertex of drop and adds
+// edges to every vertex of add — the network a strategy change of u would
+// produce — without mutating g: no AdjVersion bump, no observer call, so
+// concurrent searches of one network are safe with one scratch each. drop
+// must list neighbours of u and add non-neighbours other than u, each
+// vertex at most once; src may be any vertex. Results equal BFS on the
+// edited network.
+func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult {
+	if g.word != nil {
+		var dm, am uint64
+		for _, x := range drop {
+			dm |= 1 << uint(x)
 		}
+		for _, y := range add {
+			am |= 1 << uint(y)
+		}
+		ed := wordEdit{u: u, row: g.word[u]&^dm | am, touched: dm | am | 1<<uint(u)}
+		return g.bfsWord(src, 0, ed, dist)
+	}
+	if len(s.row) == 0 {
+		s.row = make(Bitset, len(s.visited))
+	}
+	s.row.CopyFrom(g.adj[u])
+	for _, x := range drop {
+		s.row.Clear(x)
+	}
+	for _, y := range add {
+		s.row.Set(y)
+	}
+	return g.bfsBits(src, -1, &edit{u: u, drop: drop, add: add}, dist, s)
+}
+
+// bfsFrom is the shared core of BFS and BFSExcluding; excl < 0 means no
+// vertex is excluded. Graphs of at most 64 vertices take the one-word path.
+func (g *Graph) bfsFrom(src, excl int, dist []int32, s *BFSScratch) BFSResult {
+	if g.word != nil {
+		var visited uint64
+		if excl >= 0 {
+			visited = 1 << uint(excl)
+		}
+		return g.bfsWord(src, visited, wordEdit{}, dist)
+	}
+	return g.bfsBits(src, excl, nil, dist, s)
+}
+
+// wordEdit is the edited network of a one-word search: touched holds the
+// mover u and the other endpoints of its edited edges, row the mover's
+// edited adjacency row. Every other touched vertex gains or loses exactly
+// its edge to u, so its row toggles u's bit. The zero value edits nothing.
+type wordEdit struct {
+	u            int
+	row, touched uint64
+}
+
+// bfsWord is the BFS core on graphs of at most 64 vertices, where every
+// adjacency row is one word: the frontier and the visited set are words,
+// and a level expands by a trailing-zeros loop over the frontier. visited
+// seeds the excluded vertex, if any.
+func (g *Graph) bfsWord(src int, visited uint64, ed wordEdit, dist []int32) BFSResult {
+	adj := g.word
+	frontier := uint64(1) << uint(src)
+	visited |= frontier
+	if dist != nil {
+		fill32(dist, Unreachable)
 		dist[src] = 0
 	}
-	if excl >= 0 {
-		s.visited.Set(excl)
-	}
-	s.visited.Set(src)
-	s.frontier.Set(src)
 	res := BFSResult{Reached: 1}
-	depth := int32(0)
-	for {
-		s.next.Reset()
-		// next = union of adjacency rows over the frontier, minus visited.
-		s.frontier.ForEach(func(u int) {
-			s.next.OrWith(g.adj[u])
-		})
-		s.next.AndNotWith(s.visited)
-		cnt := s.next.Count()
-		if cnt == 0 {
-			break
+	for depth := int32(1); ; depth++ {
+		var next uint64
+		for f := frontier &^ ed.touched; f != 0; f &= f - 1 {
+			next |= adj[bits.TrailingZeros64(f)]
 		}
-		depth++
+		for f := frontier & ed.touched; f != 0; f &= f - 1 {
+			v := bits.TrailingZeros64(f)
+			if v == ed.u {
+				next |= ed.row
+			} else {
+				next |= adj[v] ^ 1<<uint(ed.u)
+			}
+		}
+		next &^= visited
+		if next == 0 {
+			return res
+		}
+		cnt := bits.OnesCount64(next)
 		res.Reached += cnt
 		res.Sum += int64(depth) * int64(cnt)
 		res.Ecc = depth
-		s.visited.OrWith(s.next)
+		visited |= next
 		if dist != nil {
-			s.next.ForEach(func(u int) { dist[u] = depth })
+			for f := next; f != 0; f &= f - 1 {
+				dist[bits.TrailingZeros64(f)] = depth
+			}
 		}
-		s.frontier, s.next = s.next, s.frontier
+		frontier = next
 	}
-	return res
+}
+
+// edit is a strategy change of u for BFSEdited: its edges to drop go and
+// edges to add appear.
+type edit struct {
+	u         int
+	drop, add []int
+}
+
+// bfsBits is the BFS core on graphs beyond one word: each level ORs the
+// adjacency rows of the frontier, then one pass masks out the visited set,
+// counts the new level and marks it visited. Under an edit, the mover
+// contributes its edited row from the scratch, a dropped endpoint its row
+// without u and an added endpoint its row with u. The edit only concerns
+// edges at u, so once u is expanded — and visited — the rest of the
+// search is plain.
+func (g *Graph) bfsBits(src, excl int, ed *edit, dist []int32, s *BFSScratch) BFSResult {
+	visited, frontier, next := s.visited, s.frontier, s.next
+	visited.Reset()
+	frontier.Reset()
+	if dist != nil {
+		fill32(dist, Unreachable)
+		dist[src] = 0
+	}
+	if excl >= 0 {
+		visited.Set(excl)
+	}
+	visited.Set(src)
+	frontier.Set(src)
+	res := BFSResult{Reached: 1}
+	for depth := int32(1); ; depth++ {
+		next.Reset()
+		if ed != nil {
+			// u's row lacks u, so u's bit is clear when the dropped
+			// endpoints have been ORed in, and set after the added ones.
+			last := frontier.Has(ed.u)
+			if last {
+				frontier.Clear(ed.u)
+				next.OrWith(s.row)
+			}
+			for _, x := range ed.drop {
+				if frontier.Has(x) {
+					frontier.Clear(x)
+					next.OrWith(g.adj[x])
+					next.Clear(ed.u)
+				}
+			}
+			for _, y := range ed.add {
+				if frontier.Has(y) {
+					frontier.Clear(y)
+					next.OrWith(g.adj[y])
+					next.Set(ed.u)
+				}
+			}
+			if last {
+				ed = nil
+			}
+		}
+		for i, w := range frontier {
+			for ; w != 0; w &= w - 1 {
+				next.OrWith(g.adj[i<<6|bits.TrailingZeros64(w)])
+			}
+		}
+		cnt := 0
+		seen := visited[:len(next)]
+		for i, w := range next {
+			w &^= seen[i]
+			next[i] = w
+			seen[i] |= w
+			cnt += bits.OnesCount64(w)
+		}
+		if cnt == 0 {
+			return res
+		}
+		res.Reached += cnt
+		res.Sum += int64(depth) * int64(cnt)
+		res.Ecc = depth
+		if dist != nil {
+			next.ForEach(func(v int) { dist[v] = depth })
+		}
+		frontier, next = next, frontier
+	}
 }
 
 // Distances fills dist with shortest-path distances from src, allocating

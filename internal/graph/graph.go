@@ -21,7 +21,11 @@ type Graph struct {
 	adj []Bitset // adj[u] = neighbours of u
 	out []Bitset // out[u] = neighbours v with o({u,v}) = u
 	deg []int
-	obs EdgeObserver
+	// word holds the adjacency rows when n <= 64, where every row is one
+	// word (adj[u] aliases word[u]); the BFS core's one-word path reads
+	// it. It is nil on larger graphs.
+	word []uint64
+	obs  EdgeObserver
 	// version counts adjacency mutations (edge insertions, removals and
 	// bulk overwrites; ownership transfers don't change adjacency). Batch
 	// kernels key their CSR snapshot on it, so back-to-back searches of an
@@ -70,10 +74,15 @@ func New(n int) *Graph {
 		deg: make([]int, n),
 	}
 	words := (n + 63) / 64
+	// Adjacency rows first and ownership rows after them, so that one-word
+	// adjacency rows lie contiguous.
 	backing := make([]uint64, 2*n*words)
 	for u := 0; u < n; u++ {
-		g.adj[u] = Bitset(backing[2*u*words : (2*u+1)*words])
-		g.out[u] = Bitset(backing[(2*u+1)*words : (2*u+2)*words])
+		g.adj[u] = Bitset(backing[u*words : (u+1)*words : (u+1)*words])
+		g.out[u] = Bitset(backing[(n+u)*words : (n+u+1)*words : (n+u+1)*words])
+	}
+	if words == 1 {
+		g.word = backing[:n:n]
 	}
 	return g
 }

@@ -210,7 +210,7 @@ func (lm *Landmarks) Apply(g Store, u int, drop, add []int) {
 			// pre-insertion values, and the later decrease propagation
 			// cannot tell the two apart. The transient remove/add pair
 			// fires any installed graph observer symmetrically, which
-			// state fingerprints cancel exactly (like probe apply/undo).
+			// state fingerprints cancel exactly.
 			y := add[0]
 			owner := g.Owner(u, y)
 			other := u

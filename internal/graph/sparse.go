@@ -385,7 +385,7 @@ func (sp *Sparse) AppendAdjRows(dst []uint64) []uint64 {
 // adjacency lists — per-vertex distances, aggregates and eccentricities are
 // bit-identical to the dense word-parallel search (BFS levels are unique).
 func (sp *Sparse) BFS(src int, dist []int32, s *BFSScratch) BFSResult {
-	return sp.bfsFrom(src, -1, dist, s)
+	return sp.bfsFrom(src, -1, nil, -1, nil, dist, s)
 }
 
 // BFSExcluding is BFS on the vertex-deleted subgraph G - excl; contract
@@ -394,10 +394,39 @@ func (sp *Sparse) BFSExcluding(src, excl int, dist []int32, s *BFSScratch) BFSRe
 	if src == excl {
 		panic("graph: BFSExcluding source equals excluded vertex")
 	}
-	return sp.bfsFrom(src, excl, dist, s)
+	return sp.bfsFrom(src, excl, nil, -1, nil, dist, s)
 }
 
-func (sp *Sparse) bfsFrom(src, excl int, dist []int32, s *BFSScratch) BFSResult {
+// BFSEdited is BFS in the network that results when u drops its edges to
+// drop and adds edges to add, without mutating sp; contract identical to
+// (*Graph).BFSEdited.
+func (sp *Sparse) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult {
+	if len(s.mark) == 0 {
+		s.mark = make(Bitset, len(s.visited))
+	}
+	mark := s.mark
+	mark.Set(u)
+	for _, x := range drop {
+		mark.Set(x)
+	}
+	for _, y := range add {
+		mark.Set(y)
+	}
+	res := sp.bfsFrom(src, -1, mark, u, add, dist, s)
+	mark.Clear(u)
+	for _, x := range drop {
+		mark.Clear(x)
+	}
+	for _, y := range add {
+		mark.Clear(y)
+	}
+	return res
+}
+
+// bfsFrom is the queue-based level scan behind BFS, BFSExcluding and
+// BFSEdited. A non-nil mark holds the mover u and the other endpoints of
+// its edited edges, which expandEdited expands by their edited lists.
+func (sp *Sparse) bfsFrom(src, excl int, mark Bitset, u int, add []int, dist []int32, s *BFSScratch) BFSResult {
 	n := sp.n
 	s.visited.Reset()
 	if cap(s.queue) < n {
@@ -418,7 +447,12 @@ func (sp *Sparse) bfsFrom(src, excl int, dist []int32, s *BFSScratch) BFSResult 
 	for head, levelEnd := 0, 1; head < len(q); {
 		depth++
 		for ; head < levelEnd; head++ {
-			for _, e := range sp.row(int(q[head])) {
+			v := int(q[head])
+			if mark != nil && mark.Has(v) {
+				q = sp.expandEdited(v, u, add, mark, depth, q, dist, s)
+				continue
+			}
+			for _, e := range sp.row(v) {
 				w := int(e & spVertex)
 				if !s.visited.Has(w) {
 					s.visited.Set(w)
@@ -439,6 +473,47 @@ func (sp *Sparse) bfsFrom(src, excl int, dist []int32, s *BFSScratch) BFSResult 
 	}
 	s.queue = q[:0]
 	return res
+}
+
+// expandEdited enqueues the unvisited neighbours of a marked vertex v in
+// the edited network at the given depth. The mover u skips its marked
+// neighbours — among them only the dropped ones — and gains add. Any other
+// marked vertex toggles its edge to u: a dropped endpoint finds u in its
+// list and skips it, an added one does not and gains u.
+func (sp *Sparse) expandEdited(v, u int, add []int, mark Bitset, depth int32, q []int32, dist []int32, s *BFSScratch) []int32 {
+	visit := func(w int) {
+		if !s.visited.Has(w) {
+			s.visited.Set(w)
+			if dist != nil {
+				dist[w] = depth
+			}
+			q = append(q, int32(w))
+		}
+	}
+	if v == u {
+		for _, e := range sp.row(v) {
+			if w := int(e & spVertex); !mark.Has(w) {
+				visit(w)
+			}
+		}
+		for _, y := range add {
+			visit(y)
+		}
+		return q
+	}
+	sawU := false
+	for _, e := range sp.row(v) {
+		w := int(e & spVertex)
+		if w == u {
+			sawU = true
+			continue
+		}
+		visit(w)
+	}
+	if !sawU {
+		visit(u)
+	}
+	return q
 }
 
 // Connected reports whether the graph is connected.

@@ -97,6 +97,28 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse) {
 				t.Fatalf("BFSExcluding(%d,%d) diverged: dense %+v, sparse %+v", src, excl, dr, sr)
 			}
 		}
+		// The edited search, from the mover and from another source: the
+		// mover drops every other neighbour and adds every third
+		// non-neighbour.
+		for _, u := range []int{src, excl} {
+			drop, add := dl[:0], sl[:0]
+			for v := 0; v < n; v++ {
+				switch {
+				case v == u:
+				case g.HasEdge(u, v):
+					if (u+v)%2 == 0 {
+						drop = append(drop, v)
+					}
+				case (u+v)%3 == 0:
+					add = append(add, v)
+				}
+			}
+			dr, sr = g.BFSEdited(src, u, drop, add, dd, bs), sp.BFSEdited(src, u, drop, add, sd, bs)
+			if dr != sr || !equal32(dd, sd) {
+				t.Fatalf("BFSEdited(%d, u=%d, drop %v, add %v) diverged: dense %+v, sparse %+v", src, u, drop, add, dr, sr)
+			}
+			dl, sl = drop, add
+		}
 	}
 	if g.Connected() != sp.Connected() {
 		t.Fatalf("connectivity diverged")
@@ -185,18 +207,21 @@ func applyScript(g *Graph, sp *Sparse, script []byte) {
 
 // FuzzSparseParity feeds random edit scripts into both backends and
 // requires every observable — neighbour order, ownership, BFS rows and
-// aggregates, batch kernels, canonical encodings (the bytes fingerprints
-// and the interned state store hash) — to stay bit-identical.
+// aggregates, edited searches, batch kernels, canonical encodings (the
+// bytes fingerprints and the interned state store hash) — to stay
+// bit-identical. Sizes reach past 64, so the dense backend's one-word and
+// multi-word searches are both compared with CSR.
 func FuzzSparseParity(f *testing.F) {
 	f.Add(int64(1), 8, []byte{0, 1, 2, 0, 3, 4, 1, 1, 2})
 	f.Add(int64(2), 24, []byte{2, 9, 3, 0, 200, 13, 1, 9, 3, 0, 7, 7})
 	f.Add(int64(3), 1, []byte{})
+	f.Add(int64(4), 100, []byte{1, 64, 3, 0, 70, 99, 1, 65, 2})
 	f.Fuzz(func(t *testing.T, seed int64, n int, script []byte) {
 		if n < 1 {
 			n = 1
 		}
-		if n > 48 {
-			n = n%48 + 1
+		if n > 130 {
+			n = n%130 + 1
 		}
 		if len(script) > 3*4096 {
 			script = script[:3*4096]

@@ -78,6 +78,9 @@ type Store interface {
 	BFS(src int, dist []int32, s *BFSScratch) BFSResult
 	// BFSExcluding is BFS on the vertex-deleted subgraph G - excl.
 	BFSExcluding(src, excl int, dist []int32, s *BFSScratch) BFSResult
+	// BFSEdited is BFS in the network u's strategy change (drop, add)
+	// would produce, without mutating the store; see (*Graph).BFSEdited.
+	BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult
 	// PartialBFS completes a partially known distance field; see
 	// (*Graph).PartialBFS for the exact contract.
 	PartialBFS(dist []int32, suspects Bitset, s *RepairScratch)

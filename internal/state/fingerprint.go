@@ -72,8 +72,10 @@ func (t *Tables) zero() {
 
 // Fingerprint tracks both state-hash variants of one graph incrementally.
 // Install it with Attach (or Init + graph.SetObserver) and every AddEdge,
-// RemoveEdge and SetOwner — including the apply/undo pairs of candidate
-// probing — updates both hashes in O(1). It implements graph.EdgeObserver.
+// RemoveEdge and SetOwner — committed moves, and the apply/undo pairs of
+// state-graph searches, which cancel — updates both hashes in O(1).
+// Candidate scoring never mutates the graph, so it never reaches the
+// fingerprint. It implements graph.EdgeObserver.
 type Fingerprint struct {
 	t     *Tables
 	aware uint64
