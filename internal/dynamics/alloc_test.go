@@ -11,27 +11,31 @@ import (
 // warmed Runner: after the first run has grown every arena (scratches,
 // distance cache, move and ordering buffers), further runs on same-sized
 // networks must be allocation-flat — the regression guard for the
-// engine's arena reuse.
+// engine's arena reuse. n = 80 runs the delta scans over the distance
+// cache; n = 64, the one-word limit, runs the naive scans, whose
+// candidates come from the scratches' G−u ball arenas.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
-	g0 := gen.BudgetNetwork(64, 3, gen.NewRand(1))
-	cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: MaxCost{}, Seed: 7}
-	r := NewRunner()
-	g := g0.Clone()
-	res := r.Run(g, cfg)
-	if !res.Converged || res.Steps == 0 {
-		t.Fatalf("warm-up run: %+v", res)
-	}
-	steps := res.Steps
-	perRun := testing.AllocsPerRun(5, func() {
-		g.CopyFrom(g0)
-		r.Run(g, cfg)
-	})
-	perStep := perRun / float64(steps)
-	t.Logf("steady state: %.1f allocs per run, %.3f per step (%d steps)", perRun, perStep, steps)
-	// The budget leaves room for incidental growth but fails on any
-	// per-step or per-trial allocation creeping back in.
-	if perRun > 8 {
-		t.Errorf("steady-state run allocates %.1f times (%.3f per step), want <= 8 per run", perRun, perStep)
+	for _, n := range []int{64, 80} {
+		g0 := gen.BudgetNetwork(n, 3, gen.NewRand(1))
+		cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: MaxCost{}, Seed: 7}
+		r := NewRunner()
+		g := g0.Clone()
+		res := r.Run(g, cfg)
+		if !res.Converged || res.Steps == 0 {
+			t.Fatalf("n=%d warm-up run: %+v", n, res)
+		}
+		steps := res.Steps
+		perRun := testing.AllocsPerRun(5, func() {
+			g.CopyFrom(g0)
+			r.Run(g, cfg)
+		})
+		perStep := perRun / float64(steps)
+		t.Logf("n=%d steady state: %.1f allocs per run, %.3f per step (%d steps)", n, perRun, perStep, steps)
+		// The budget leaves room for incidental growth but fails on any
+		// per-step or per-trial allocation creeping back in.
+		if perRun > 8 {
+			t.Errorf("n=%d steady-state run allocates %.1f times (%.3f per step), want <= 8 per run", n, perRun, perStep)
+		}
 	}
 }
 
@@ -40,34 +44,38 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 // store (fingerprint + compact encoding, no per-step graph clones), so a
 // whole DetectCycles run must stay within a small constant allocation
 // count — independent of its step count — alongside the steady-state
-// budget above.
+// budget above, in both scan regimes.
 func TestRunnerDetectCyclesAllocs(t *testing.T) {
-	g0 := gen.BudgetNetwork(64, 3, gen.NewRand(1))
-	cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: MaxCost{}, Seed: 7, DetectCycles: true}
-	r := NewRunner()
-	g := g0.Clone()
-	res := r.Run(g, cfg)
-	if !res.Converged || res.Cycled || res.Steps == 0 {
-		t.Fatalf("warm-up run: %+v", res)
-	}
-	steps := res.Steps
-	perRun := testing.AllocsPerRun(5, func() {
-		g.CopyFrom(g0)
-		r.Run(g, cfg)
-	})
-	t.Logf("detect-cycles steady state: %.1f allocs per run (%d steps)", perRun, steps)
-	if perRun > 8 {
-		t.Errorf("DetectCycles run allocates %.1f times over %d steps, want <= 8 per run (no per-step state copies)", perRun, steps)
+	for _, n := range []int{64, 80} {
+		g0 := gen.BudgetNetwork(n, 3, gen.NewRand(1))
+		cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: MaxCost{}, Seed: 7, DetectCycles: true}
+		r := NewRunner()
+		g := g0.Clone()
+		res := r.Run(g, cfg)
+		if !res.Converged || res.Cycled || res.Steps == 0 {
+			t.Fatalf("n=%d warm-up run: %+v", n, res)
+		}
+		steps := res.Steps
+		perRun := testing.AllocsPerRun(5, func() {
+			g.CopyFrom(g0)
+			r.Run(g, cfg)
+		})
+		t.Logf("n=%d detect-cycles steady state: %.1f allocs per run (%d steps)", n, perRun, steps)
+		if perRun > 8 {
+			t.Errorf("n=%d DetectCycles run allocates %.1f times over %d steps, want <= 8 per run (no per-step state copies)", n, perRun, steps)
+		}
 	}
 }
 
 // TestRunnerReusedAcrossSizes checks arena resizing and cross-run
 // isolation: a single Runner alternating between network sizes and games
-// must reproduce the results of fresh single-use runs exactly.
+// must reproduce the results of fresh single-use runs exactly. The sizes
+// straddle the one-word limit, so the runner also alternates between the
+// naive scans and the delta scans over the distance cache.
 func TestRunnerReusedAcrossSizes(t *testing.T) {
 	r := NewRunner()
 	for trial := 0; trial < 9; trial++ {
-		n := []int{16, 40, 24}[trial%3]
+		n := []int{16, 72, 24}[trial%3]
 		var gm game.Game = game.NewAsymSwap(game.Sum)
 		if trial%2 == 1 {
 			gm = game.NewGreedyBuy(game.Sum, game.NewAlpha(int64(n), 4))

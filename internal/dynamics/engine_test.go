@@ -49,10 +49,12 @@ func engineRunConfigs() []Config {
 // seeded run must be step-for-step identical between serial probing, the
 // engine fast path, and parallel probing at several worker counts. The
 // starts cover both scan regimes of the swap games and the GBG — naive
-// scans below n = 32, delta scans with the cost cache's oracle above —
+// scans up to the one-word limit of 64 agents, delta scans with the cost
+// cache's oracle above —
 // and the exhaustive Buy and bilateral strategy spaces; every game's
 // probes only read the graph, so all of them run in parallel waves.
 func TestParallelRunIsBitIdentical(t *testing.T) {
+	t.Parallel()
 	budget := func(n, k int, seed int64) func() *graph.Graph {
 		return func() *graph.Graph { return gen.BudgetNetwork(n, k, gen.NewRand(seed)) }
 	}
@@ -62,7 +64,7 @@ func TestParallelRunIsBitIdentical(t *testing.T) {
 		cfgs []Config
 	}{
 		{"budget-24", budget(24, 3, 11), engineRunConfigs()},
-		{"budget-40", budget(40, 3, 12), engineRunConfigs()},
+		{"budget-72", budget(72, 3, 12), engineRunConfigs()},
 		{"buy-7", budget(7, 2, 13), []Config{
 			{Game: game.NewBuy(game.Sum, game.AlphaInt(2)), Policy: MaxCost{}, Tie: TieRandom, Seed: 4},
 			{Game: game.NewBuy(game.Max, game.NewAlpha(1, 2)), Policy: MinIndex{}, Tie: TieLast},
@@ -290,15 +292,16 @@ func TestNaiveFallbackPreservesTrace(t *testing.T) {
 }
 
 // TestPreferNaiveScanRegime checks the fallback triggers exactly in the
-// documented regimes: tiny networks, and MAX cost on a tree under a swap
-// variant.
+// documented regimes: dense networks of at most 64 agents (the one-word
+// limit), and MAX cost on a tree under a swap variant on either backend.
 func TestPreferNaiveScanRegime(t *testing.T) {
-	path := graph.Path(64)
-	cyc := graph.Cycle(64)
+	path := graph.Path(65)
+	cyc := graph.Cycle(65)
 	small := graph.Path(8)
+	word := graph.Cycle(64)
 	cases := []struct {
 		gm   game.Game
-		g    *graph.Graph
+		g    graph.Store
 		want bool
 	}{
 		{game.NewSwap(game.Max), path, true},
@@ -307,16 +310,32 @@ func TestPreferNaiveScanRegime(t *testing.T) {
 		{game.NewSwap(game.Sum), path, false},
 		{game.NewSwap(game.Max), cyc, false},
 		{game.NewGreedyBuy(game.Max, game.AlphaInt(2)), path, false},
-		// The small-network regime covers every game with a reference
-		// scan; games without one (exhaustive Buy, bilateral) never route.
+		// The one-word regime covers every game with a reference scan up
+		// to 64 agents; games without one (exhaustive Buy, bilateral)
+		// never route.
 		{game.NewSwap(game.Sum), small, true},
 		{game.NewGreedyBuy(game.Sum, game.AlphaInt(2)), small, true},
 		{game.NewBuy(game.Sum, game.AlphaInt(2)), small, false},
 		{game.NewBilateral(game.Sum, game.AlphaInt(2)), small, false},
+		{game.NewSwap(game.Sum), word, true},
+		{game.NewSwap(game.Max), word, true},
+		{game.NewAsymSwap(game.Sum), graph.Path(64), true},
+		{game.NewGreedyBuy(game.Max, game.AlphaInt(2)), word, true},
+		{game.NewBuy(game.Sum, game.AlphaInt(2)), word, false},
+		{game.NewGreedyBuy(game.Max, game.AlphaInt(2)), cyc, false},
+		{game.NewAsymSwap(game.Sum), cyc, false},
+		// CSR networks have no one-word path: only the MAX-tree regime
+		// routes them.
+		{game.NewSwap(game.Sum), graph.NewSparseFrom(small), false},
+		{game.NewSwap(game.Sum), graph.NewSparseFrom(word), false},
+		{game.NewGreedyBuy(game.Max, game.AlphaInt(2)), graph.NewSparseFrom(word), false},
+		{game.NewSwap(game.Max), graph.NewSparseFrom(small), true},
+		{game.NewAsymSwap(game.Max), graph.NewSparseFrom(path), true},
+		{game.NewSwap(game.Max), graph.NewSparseFrom(cyc), false},
 	}
 	for i, c := range cases {
 		if got := game.PreferNaiveScan(c.gm, c.g); got != c.want {
-			t.Errorf("case %d (%s): PreferNaiveScan = %v, want %v", i, c.gm.Name(), got, c.want)
+			t.Errorf("case %d (%s, n=%d): PreferNaiveScan = %v, want %v", i, c.gm.Name(), c.g.N(), got, c.want)
 		}
 	}
 }

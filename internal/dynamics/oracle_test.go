@@ -79,10 +79,14 @@ func oracleParityConfigs() []Config {
 // same trajectory, the same cycle verdicts and the same final network as
 // the exact-mode run of the same seed. Coverage narrows as n grows (these
 // are full dynamics runs, hundreds of steps each); every config × k pair
-// still runs at n=32.
+// still runs at n=72, the first row above the one-word limit (up to 64
+// agents the runner routes to the naive scans and arms no landmarks). The
+// test and each of its (n, config) cells run in parallel, so the race job
+// spreads the cells and the package's other long tests over every core.
 func TestLandmarkRunIsBitIdentical(t *testing.T) {
-	ks := map[int][]int{32: {1, 2, 4, 16, 64}, 128: {1, 16}, 256: {16}}
-	sizes := []int{32, 128, 256}
+	t.Parallel()
+	ks := map[int][]int{72: {1, 2, 4, 16, 64}, 128: {1, 16}, 256: {16}}
+	sizes := []int{72, 128, 256}
 	if testing.Short() {
 		sizes = sizes[:2]
 		ks[128] = []int{16}
@@ -96,36 +100,39 @@ func TestLandmarkRunIsBitIdentical(t *testing.T) {
 				// waves, ASG ownership, MAX witnesses) are covered at 128.
 				continue
 			}
-			exact := cfg
-			exact.Oracle = OracleSpec{Mode: OracleExact}
-			wantRes, wantSteps, wantG := traceOf(mk, exact)
-			for _, k := range ks[n] {
-				lmc := cfg
-				lmc.Oracle = OracleSpec{Mode: OracleLandmark, K: k}
-				res, steps, g := traceOf(mk, lmc)
-				if !resultsEqual(res, wantRes) {
-					t.Fatalf("n=%d config %d k=%d: result %+v, want %+v", n, ci, k, res, wantRes)
-				}
-				for i := range steps {
-					if steps[i] != wantSteps[i] {
-						t.Fatalf("n=%d config %d k=%d step %d:\n got %s\nwant %s", n, ci, k, i, steps[i], wantSteps[i])
+			t.Run(fmt.Sprintf("n=%d/config=%d", n, ci), func(t *testing.T) {
+				t.Parallel()
+				exact := cfg
+				exact.Oracle = OracleSpec{Mode: OracleExact}
+				wantRes, wantSteps, wantG := traceOf(mk, exact)
+				for _, k := range ks[n] {
+					lmc := cfg
+					lmc.Oracle = OracleSpec{Mode: OracleLandmark, K: k}
+					res, steps, g := traceOf(mk, lmc)
+					if !resultsEqual(res, wantRes) {
+						t.Fatalf("k=%d: result %+v, want %+v", k, res, wantRes)
+					}
+					for i := range steps {
+						if steps[i] != wantSteps[i] {
+							t.Fatalf("k=%d step %d:\n got %s\nwant %s", k, i, steps[i], wantSteps[i])
+						}
+					}
+					if len(steps) != len(wantSteps) || !g.Equal(wantG) {
+						t.Fatalf("k=%d: trajectories diverge (%d vs %d steps)", k, len(steps), len(wantSteps))
 					}
 				}
-				if len(steps) != len(wantSteps) || !g.Equal(wantG) {
-					t.Fatalf("n=%d config %d k=%d: trajectories diverge (%d vs %d steps)",
-						n, ci, k, len(steps), len(wantSteps))
-				}
-			}
+			})
 		}
 	}
 }
 
 // TestLandmarkRunnerReuse runs landmark-mode trials back to back through
 // one Runner across different sizes and seeds; every trial must match a
-// fresh single-use run.
+// fresh single-use run. The sizes lie above the one-word limit, where the
+// runner keeps the delta scans and arms the landmarks.
 func TestLandmarkRunnerReuse(t *testing.T) {
 	r := NewRunner()
-	for trial, n := range []int{64, 48, 64, 129} {
+	for trial, n := range []int{96, 72, 96, 129} {
 		mk := func() *graph.Graph { return gen.RandomConnected(n, n+3, gen.NewRand(int64(7*trial+1))) }
 		cfg := Config{
 			Game:         game.NewSwap(game.Sum),
@@ -143,10 +150,13 @@ func TestLandmarkRunnerReuse(t *testing.T) {
 }
 
 // TestRunnerShrinksArenas: a run at a much smaller size must release the
-// big run's arenas instead of pinning them for the rest of a sweep.
+// big run's arenas instead of pinning them for the rest of a sweep. Every
+// size lies above the one-word limit, so each run takes the delta scans and
+// builds the distance cache, and the small run must regrow it at its size.
 func TestRunnerShrinksArenas(t *testing.T) {
+	t.Parallel()
 	r := NewRunner()
-	big := 320
+	big := 330
 	cfg := Config{Game: game.NewSwap(game.Sum), Policy: MaxCost{}, DetectCycles: true}
 	r.Run(gen.RandomConnected(big, big+10, gen.NewRand(1)), cfg)
 	if r.capN != big || r.cache == nil || r.cache.n != big {
@@ -166,8 +176,8 @@ func TestRunnerShrinksArenas(t *testing.T) {
 	if r.capN != small {
 		t.Fatalf("capN = %d after shrink, want %d", r.capN, small)
 	}
-	if r.cache != nil && r.cache.n != small {
-		t.Fatalf("cache still sized %d after shrink", r.cache.n)
+	if r.cache == nil || r.cache.n != small {
+		t.Fatalf("cache not regrown at %d after shrink: %v", small, r.cache != nil)
 	}
 	if r.scrN != small {
 		t.Fatalf("scratches still sized %d after shrink", r.scrN)
@@ -179,9 +189,10 @@ func TestRunnerShrinksArenas(t *testing.T) {
 
 // TestStableUnchangedByLandmarks: Stable always runs exact; a stable
 // network must stay stable regardless of any prior landmark-mode run on
-// the same graph value.
+// the same graph value. The network lies above the one-word limit, so the
+// run arms landmarks and Stable builds the distance cache.
 func TestStableUnchangedByLandmarks(t *testing.T) {
-	g := gen.RandomConnected(40, 44, gen.NewRand(4))
+	g := gen.RandomConnected(80, 88, gen.NewRand(4))
 	cfg := Config{
 		Game:   game.NewSwap(game.Sum),
 		Policy: MinIndex{},

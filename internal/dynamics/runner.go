@@ -124,9 +124,9 @@ func (r *Runner) Run(g graph.Store, cfg Config) Result {
 		cfg.MaxSteps = 200*g.N() + 1000
 	}
 	if game.PreferNaiveScan(cfg.Game, g) {
-		// MAX cost on a tree under a swap variant: incremental maintenance
-		// is adversarial there, and the naive scans enumerate identical
-		// moves in identical order, so the trace is unchanged.
+		// Dense networks of at most 64 agents and MAX-swap trees (see
+		// game.PreferNaiveScan): the naive scans enumerate identical moves
+		// in identical order, so the trace is unchanged.
 		cfg.Game = game.Naive(cfg.Game)
 	}
 	r.fitArenas(g.N())

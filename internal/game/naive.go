@@ -4,12 +4,19 @@ import (
 	"ncg/internal/graph"
 )
 
-// Reference implementations of the best-response scans that re-evaluate
-// every candidate strategy change with a full BFS of the network it would
-// produce (see movedCost). They predate the delta evaluator of delta.go
-// and are kept as the ground truth for equivalence tests and before/after
-// benchmarks; on small networks they are also the faster scans (see
-// PreferNaiveScan). Like the delta scans they only read the graph.
+// The naive scans enumerate every candidate strategy change and score it by
+// the mover's cost in the network it would produce (see movedCost): a
+// search of the edited network, which on one-word networks of about 20
+// agents or more is a lookup in the mover's cached G−u balls (graph.Store's
+// BFSEdited). They predate the delta evaluator of delta.go; on dense
+// networks of at most 64 agents they are the faster scans and the ones
+// production runs (see PreferNaiveScan), and elsewhere the delta scans'
+// comparison path in equivalence tests and before/after benchmarks. The
+// tests' independent truth is neither: it is the apply → Cost → undo brute
+// force of FuzzBestResponse and TestExhaustiveScansMatchBruteForce, which
+// applies each candidate, recomputes the mover's cost from scratch and
+// undoes the move. Like the delta scans the naive scans only read the
+// graph.
 
 // evalSwap computes u's cost after swapping the edge {u,x} to {u,y}. It
 // allocates nothing.
@@ -227,26 +234,38 @@ func IsNaive(gm Game) bool {
 	return ok
 }
 
-// smallNaiveN is the vertex count below which the naive early-exit scans
-// beat the delta evaluator: on tiny networks a full BFS costs a handful of
-// word operations, so the evaluator's row matrices, witness buckets and
-// bound caches are pure constant-factor overhead.
-const smallNaiveN = 32
+// oneWordN is the largest dense network (graph.Graph) the naive scans take
+// on every game with a reference scan: up to 64 vertices an adjacency row
+// is one word, so the candidates' searches run on graph's one-word path,
+// and from 20 agents on a mover's candidates are answered from its cached
+// G−u balls (see graph.Store's BFSEdited), a popcount per level instead of
+// a search. The evaluator's row matrices, witness buckets and bound caches
+// are then constant-factor overhead. Measured on a 2-core x86-64 VM (one
+// worker, 60 trials per n, best of three), the naive scans beat the delta
+// scans on all seven figure series (Figs 7, 8, 11-14) at every n = 32,
+// 40, 48, 56 and 64, by 1.42-5.95×; without the balls they lose on
+// SUM-GBG (α = 4) at n = 32-48 and on MAX-GBG (α = 4) at n = 48-64, up
+// to 1.43× slower. CSR networks (graph.Sparse) have neither path: each
+// candidate is a queue search there, and the delta scans won on all seven
+// series at every n = 10, 16, 20, 24, 31, 32, 40, 48, 56 and 64 (naive
+// time 1.05-6.7×, 30-100 trials per n, best of three), so they never take
+// this rule.
+const oneWordN = 64
 
 // PreferNaiveScan reports the regimes where the delta evaluator and the
 // incremental distance cache are known to lose to the naive full-BFS path.
-// Two are known. Tiny networks (n < 32): see smallNaiveN; the paper's
-// n = 10..50 experiment grids start inside this regime. And MAX distance
-// cost on a tree under a swap variant: there a single swap reroutes
-// shortest paths for a constant fraction of all vertex pairs, so
-// maintaining the all-pairs matrix costs more than the searches it saves,
-// while the early-exiting naive probes are near optimal (the Theorem 2.11
-// path gadget is the canonical instance). Swap variants preserve the edge
-// count, so a tree stays a tree for the whole run; the vertex count never
-// changes; so neither pre-check needs revisiting mid-run. The dynamics
-// runner, the state-graph explorer (Explore) and the cycle search
-// (SearchBestResponseCycle) apply this one rule to fall back to the naive
-// scans, which enumerate identical moves in identical order.
+// Two are known. Dense networks of at most 64 agents: see oneWordN; the
+// paper's n = 10..50 experiment grids lie inside this regime. And MAX
+// distance cost on a tree under a swap variant, on either backend: there a
+// single swap reroutes shortest paths for a constant fraction of all
+// vertex pairs, so maintaining the all-pairs matrix costs more than the
+// searches it saves, while the early-exiting naive probes are near optimal
+// (the Theorem 2.11 path gadget is the canonical instance). Swap variants
+// preserve the edge count, so a tree stays a tree for the whole run; the
+// vertex count never changes; so neither pre-check needs revisiting
+// mid-run. The dynamics runner, the state-graph explorer (Explore) and the
+// cycle search (SearchBestResponseCycle) apply this one rule to fall back
+// to the naive scans, which enumerate identical moves in identical order.
 func PreferNaiveScan(gm Game, g graph.Store) bool {
 	if ng, ok := gm.(naiveGame); ok {
 		gm = ng.Game
@@ -254,7 +273,7 @@ func PreferNaiveScan(gm Game, g graph.Store) bool {
 	if _, ok := gm.(naiveScanner); !ok {
 		return false
 	}
-	if g.N() < smallNaiveN {
+	if d, dense := g.(*graph.Graph); dense && d.N() <= oneWordN {
 		return true
 	}
 	switch gm.(type) {

@@ -24,6 +24,9 @@ type BFSScratch struct {
 	// allocated on first use.
 	row  Bitset
 	mark Bitset
+	// balls caches the mover's G−u balls for BFSEdited on one-word
+	// networks (see balls.go); it is allocated on first use.
+	balls moverBalls
 }
 
 // NewBFSScratch returns scratch space for BFS on n-vertex graphs.
@@ -76,11 +79,23 @@ func (g *Graph) BFSExcluding(src, excl int, dist []int32, s *BFSScratch) BFSResu
 // must list neighbours of u and add non-neighbours other than u, each
 // vertex at most once; src may be any vertex. Results equal BFS on the
 // edited network.
+//
+// On networks of ballMinN..64 vertices, an aggregate-only search from the
+// mover (src == u, dist == nil) — the search that scores a candidate
+// strategy — is answered from the balls of G−u cached in s: the first
+// such search of a mover on a network version builds them in one
+// word-parallel pass, and each later one costs one OR and one popcount per
+// level (see moverBalls). The cache is keyed on the graph's identity, its
+// AdjVersion and the mover, so a scratch may alternate between graphs,
+// movers and mutations of one graph.
 func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult {
 	if g.word != nil {
 		var dm, am uint64
 		for _, x := range drop {
 			dm |= 1 << uint(x)
+		}
+		if src == u && dist == nil && g.n >= ballMinN {
+			return s.balls.search(g, u, dm, add)
 		}
 		for _, y := range add {
 			am |= 1 << uint(y)

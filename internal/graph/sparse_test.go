@@ -46,8 +46,10 @@ func randomPair(n, extra int, r *lcg) (*Graph, *Sparse) {
 
 // checkSparseParity fails the test unless every Store observable of sp
 // matches g: counters, neighbour/owned lists, canonical encodings, BFS
-// distance rows and aggregates, and the batch kernels.
-func checkSparseParity(t *testing.T, g *Graph, sp *Sparse) {
+// distance rows and aggregates, and the batch kernels. Its searches run
+// on bs, which callers reuse across checks of a mutating pair, so the
+// dense backend's cached mover searches are reached warm and stale.
+func checkSparseParity(t *testing.T, g *Graph, sp *Sparse, bs *BFSScratch) {
 	t.Helper()
 	if err := sp.Validate(); err != nil {
 		t.Fatalf("sparse invariants: %v", err)
@@ -83,7 +85,6 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse) {
 		t.Fatalf("Dense() round-trip diverged:\n dense  %v\n sparse %v", g, sp)
 	}
 
-	bs := NewBFSScratch(n)
 	dd, sd := make([]int32, n), make([]int32, n)
 	for src := 0; src < n; src++ {
 		dr, sr := g.BFS(src, dd, bs), sp.BFS(src, sd, bs)
@@ -116,6 +117,16 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse) {
 			dr, sr = g.BFSEdited(src, u, drop, add, dd, bs), sp.BFSEdited(src, u, drop, add, sd, bs)
 			if dr != sr || !equal32(dd, sd) {
 				t.Fatalf("BFSEdited(%d, u=%d, drop %v, add %v) diverged: dense %+v, sparse %+v", src, u, drop, add, dr, sr)
+			}
+			// The aggregate-only search of the mover, the one a scan
+			// scores candidates with (from cached balls on one-word
+			// networks).
+			if u == src {
+				da, sa := g.BFSEdited(u, u, drop, add, nil, bs), sp.BFSEdited(u, u, drop, add, nil, bs)
+				if da != dr || sa != dr {
+					t.Fatalf("aggregate-only BFSEdited(u=%d, drop %v, add %v) diverged: dense %+v, sparse %+v, with distances %+v",
+						u, drop, add, da, sa, dr)
+				}
 			}
 			dl, sl = drop, add
 		}
@@ -234,8 +245,14 @@ func FuzzSparseParity(f *testing.F) {
 		} else {
 			g, sp = New(n), NewSparse(n)
 		}
-		applyScript(g, sp, script)
-		checkSparseParity(t, g, sp)
+		// Check halfway through the script and at its end with one
+		// scratch, so the second check meets caches of a stale version.
+		bs := NewBFSScratch(n)
+		half := len(script) / 6 * 3
+		applyScript(g, sp, script[:half])
+		checkSparseParity(t, g, sp, bs)
+		applyScript(g, sp, script[half:])
+		checkSparseParity(t, g, sp, bs)
 	})
 }
 
@@ -245,13 +262,14 @@ func TestSparseParityChurn(t *testing.T) {
 	for _, n := range []int{2, 5, 17, 33, 64} {
 		r := lcg(int64(n))
 		g, sp := randomPair(n, n, &r)
-		checkSparseParity(t, g, sp)
+		bs := NewBFSScratch(n)
+		checkSparseParity(t, g, sp, bs)
 		script := make([]byte, 3*64*n)
 		for i := range script {
 			script[i] = byte(r.next())
 		}
 		applyScript(g, sp, script)
-		checkSparseParity(t, g, sp)
+		checkSparseParity(t, g, sp, bs)
 	}
 }
 
