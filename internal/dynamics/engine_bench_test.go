@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"slices"
 	"testing"
 
 	"ncg/internal/game"
@@ -8,15 +9,19 @@ import (
 	"ncg/internal/graph"
 )
 
-// Cache-construction benchmarks: the all-pairs distance matrix build that
-// opens every engine run, on the paper's budget-3 initial ensembles. The
-// BFS variants are the pre-kernel baseline (one single-source search per
-// row); CacheBuild* is the batched bit-parallel kernel, and the Workers
-// variant shards source groups over a pool, as engines with Workers > 1
-// do. BenchmarkCacheBuild256 is part of the CI performance trajectory.
+// Cache-construction benchmarks: the all-pairs distance rows (graph.Rows
+// over every vertex) that open every engine run, on the paper's budget-3
+// initial ensembles. The BFS variants are the pre-kernel baseline (one
+// single-source search per row); CacheBuild* is the batched bit-parallel
+// kernel of Rows.SearchAll, and the Workers variant shards source groups
+// over a pool, as engines with Workers > 1 do. BenchmarkCacheBuild256 is
+// part of the CI performance trajectory.
 func benchCacheBuild(b *testing.B, n, shards int, perSource bool) {
 	g := gen.BudgetNetwork(n, 3, gen.NewRand(1))
-	c := newCostCacheShell(n)
+	c := new(graph.Rows)
+	c.SearchAll(g, nil) // grow the arenas outside the timed loop
+	mat := make([]int32, n*n)
+	s := graph.NewBFSScratch(n)
 	var par []*graph.BatchBFSScratch
 	for i := 0; i < shards; i++ {
 		par = append(par, graph.NewBatchBFSScratch(n))
@@ -26,10 +31,10 @@ func benchCacheBuild(b *testing.B, n, shards int, perSource bool) {
 	for i := 0; i < b.N; i++ {
 		if perSource {
 			for u := 0; u < n; u++ {
-				c.refreshRow(g, u)
+				g.BFS(u, mat[u*n:(u+1)*n], s)
 			}
 		} else {
-			c.build(g, par)
+			c.SearchAll(g, par)
 		}
 	}
 }
@@ -52,22 +57,20 @@ func BenchmarkCacheBuildWorkers4x512(b *testing.B) { benchCacheBuild(b, 512, 4, 
 func TestCacheBuildShardedMatchesSerial(t *testing.T) {
 	for _, n := range []int{65, 200, 256} {
 		g := gen.BudgetNetwork(n, 3, gen.NewRand(9))
-		want := newCostCacheShell(n)
-		want.build(g, nil)
+		want := new(graph.Rows)
+		want.SearchAll(g, nil)
 		for _, shards := range []int{2, 3, 8} {
 			var par []*graph.BatchBFSScratch
 			for i := 0; i < shards; i++ {
 				par = append(par, graph.NewBatchBFSScratch(n))
 			}
-			got := newCostCacheShell(n)
-			got.build(g, par)
-			for i := range want.d {
-				if got.d[i] != want.d[i] {
-					t.Fatalf("n=%d shards=%d: matrix entry %d differs", n, shards, i)
-				}
-			}
+			got := new(graph.Rows)
+			got.SearchAll(g, par)
 			for u := 0; u < n; u++ {
-				if got.sum[u] != want.sum[u] || got.ecc[u] != want.ecc[u] || got.reached[u] != want.reached[u] {
+				if !slices.Equal(got.Row(u), want.Row(u)) {
+					t.Fatalf("n=%d shards=%d: row %d differs", n, shards, u)
+				}
+				if got.Result(u) != want.Result(u) {
 					t.Fatalf("n=%d shards=%d: aggregates of %d differ", n, shards, u)
 				}
 			}

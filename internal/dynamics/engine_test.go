@@ -120,9 +120,35 @@ func resultsEqual(a, b Result) bool {
 	return true
 }
 
+// backendsOf returns the dense start and its CSR copy, the two backends
+// the engine's distance cache must serve alike.
+func backendsOf(g *graph.Graph) []graph.Store {
+	return []graph.Store{g, graph.NewSparseFrom(g)}
+}
+
+// checkCache compares every cached cost with the game's own Cost and every
+// cached row with a fresh BFS of g.
+func checkCache(t *testing.T, e *engine, g graph.Store, gm game.Game, where string) {
+	t.Helper()
+	n := g.N()
+	ref := make([]int32, n)
+	bfs := graph.NewBFSScratch(n)
+	for u := 0; u < n; u++ {
+		if want, got := gm.Cost(g, u, game.NewScratch(n)), e.cost(u); got != want {
+			t.Fatalf("%s %T %s: cached cost of %d = %v, want %v", gm.Name(), g, where, u, got, want)
+		}
+		g.BFS(u, ref, bfs)
+		for v, d := range e.cache.Row(u) {
+			if d != ref[v] {
+				t.Fatalf("%s %T %s: d(%d,%d) = %d, want %d", gm.Name(), g, where, u, v, d, ref[v])
+			}
+		}
+	}
+}
+
 // TestCostCacheMatchesBFS: after every step of a run, the engine's
 // incrementally maintained distance matrix must equal a from-scratch BFS
-// matrix of the current network.
+// matrix of the current network, on both backends.
 func TestCostCacheMatchesBFS(t *testing.T) {
 	games := []game.Game{
 		game.NewSwap(game.Sum),
@@ -131,44 +157,29 @@ func TestCostCacheMatchesBFS(t *testing.T) {
 		game.NewGreedyBuy(game.Max, game.NewAlpha(18, 10)),
 	}
 	for gi, gm := range games {
-		g := gen.RandomConnected(18, 30, gen.NewRand(int64(gi)+2))
-		e := newEngine(g, gm, 1)
-		check := func(where string) {
-			for u := 0; u < g.N(); u++ {
-				want := gm.Cost(g, u, game.NewScratch(g.N()))
-				if got := e.cost(u); got != want {
-					t.Fatalf("%s %s: cached cost of %d = %v, want %v", gm.Name(), where, u, got, want)
+		for _, g := range backendsOf(gen.RandomConnected(18, 30, gen.NewRand(int64(gi)+2))) {
+			e := newEngine(g, gm, 1)
+			checkCache(t, e, g, gm, "initial")
+			s := game.NewScratch(g.N())
+			r := rand.New(rand.NewSource(99))
+			var moves []game.Move
+			for step := 0; step < 40; step++ {
+				mover := MinIndex{}.Pick(g, gm, s, r)
+				if mover < 0 {
+					break
 				}
+				moves, _ = gm.BestMoves(g, mover, s, moves[:0])
+				mv := moves[r.Intn(len(moves))].Clone()
+				e.commit(mv)
+				checkCache(t, e, g, gm, fmt.Sprintf("step %d (%v)", step, mv))
 			}
-			for u := 0; u < g.N(); u++ {
-				row := e.cache.row(u)
-				for v, d := range g.Distances(u) {
-					if row[v] != d {
-						t.Fatalf("%s %s: d(%d,%d) = %d, want %d", gm.Name(), where, u, v, row[v], d)
-					}
-				}
-			}
-		}
-		check("initial")
-		s := game.NewScratch(g.N())
-		r := rand.New(rand.NewSource(99))
-		var moves []game.Move
-		for step := 0; step < 40; step++ {
-			mover := MinIndex{}.Pick(g, gm, s, r)
-			if mover < 0 {
-				break
-			}
-			moves, _ = gm.BestMoves(g, mover, s, moves[:0])
-			mv := moves[r.Intn(len(moves))].Clone()
-			e.commit(mv)
-			check(fmt.Sprintf("step %d (%v)", step, mv))
 		}
 	}
 }
 
 // TestCostCacheMultiDrop: Buy and bilateral strategy changes drop and add
-// several edges in one move, exercising the cache's multi-edge removal
-// fallback, which the single-drop games above never reach.
+// several edges in one move, exercising the repair's multi-edge fallback,
+// which the single-drop games above never reach.
 func TestCostCacheMultiDrop(t *testing.T) {
 	games := []game.Game{
 		game.NewBuy(game.Sum, game.NewAlpha(3, 2)),
@@ -176,33 +187,23 @@ func TestCostCacheMultiDrop(t *testing.T) {
 		game.NewBilateral(game.Sum, game.NewAlpha(3, 2)),
 	}
 	for gi, gm := range games {
-		g := gen.RandomConnected(7, 9, gen.NewRand(int64(gi)+5))
-		e := newEngine(g, gm, 1)
-		if e.cost(0).Infinite() {
-			t.Fatal("connected start")
-		}
-		s := game.NewScratch(g.N())
-		r := rand.New(rand.NewSource(3))
-		var moves []game.Move
-		for step := 0; step < 15; step++ {
-			mover := MinIndex{}.Pick(g, gm, s, r)
-			if mover < 0 {
-				break
+		for _, g := range backendsOf(gen.RandomConnected(7, 9, gen.NewRand(int64(gi)+5))) {
+			e := newEngine(g, gm, 1)
+			if e.cost(0).Infinite() {
+				t.Fatal("connected start")
 			}
-			moves, _ = gm.BestMoves(g, mover, s, moves[:0])
-			mv := moves[r.Intn(len(moves))].Clone()
-			e.commit(mv)
-			for u := 0; u < g.N(); u++ {
-				want := gm.Cost(g, u, game.NewScratch(g.N()))
-				if got := e.cost(u); got != want {
-					t.Fatalf("%s step %d (%v): cost of %d = %v, want %v", gm.Name(), step, mv, u, got, want)
+			s := game.NewScratch(g.N())
+			r := rand.New(rand.NewSource(3))
+			var moves []game.Move
+			for step := 0; step < 15; step++ {
+				mover := MinIndex{}.Pick(g, gm, s, r)
+				if mover < 0 {
+					break
 				}
-				row := e.cache.row(u)
-				for v, d := range g.Distances(u) {
-					if row[v] != d {
-						t.Fatalf("%s step %d (%v): d(%d,%d) = %d, want %d", gm.Name(), step, mv, u, v, row[v], d)
-					}
-				}
+				moves, _ = gm.BestMoves(g, mover, s, moves[:0])
+				mv := moves[r.Intn(len(moves))].Clone()
+				e.commit(mv)
+				checkCache(t, e, g, gm, fmt.Sprintf("step %d (%v)", step, mv))
 			}
 		}
 	}
@@ -229,28 +230,25 @@ func TestBuyRunIsBitIdentical(t *testing.T) {
 
 // TestCostCacheDisconnection: moves that disconnect or reconnect the
 // network (GBG deletions and buys) keep the cache exact across the
-// Unreachable transitions.
+// Unreachable transitions, on both backends.
 func TestCostCacheDisconnection(t *testing.T) {
-	g := graph.Path(6)
 	gm := game.NewGreedyBuy(game.Sum, game.AlphaInt(1))
-	e := newEngine(g, gm, 1)
-	if e.cost(0).Infinite() {
-		t.Fatal("path is connected")
-	}
-	// Delete the middle edge {2,3} (owned by 2 in graph.Path), then re-add.
-	steps := []game.Move{
-		{Agent: 2, Drop: []int{3}},
-		{Agent: 2, Add: []int{3}},
-		{Agent: 0, Drop: []int{1}},
-		{Agent: 0, Add: []int{4}},
-	}
-	for _, mv := range steps {
-		e.commit(mv)
-		for u := 0; u < g.N(); u++ {
-			want := gm.Cost(g, u, game.NewScratch(g.N()))
-			if got := e.cost(u); got != want {
-				t.Fatalf("after %v: cost of %d = %v, want %v", mv, u, got, want)
-			}
+	for _, g := range backendsOf(graph.Path(6)) {
+		e := newEngine(g, gm, 1)
+		if e.cost(0).Infinite() {
+			t.Fatal("path is connected")
+		}
+		// Delete the middle edge {2,3} (owned by 2 in graph.Path), then
+		// re-add.
+		steps := []game.Move{
+			{Agent: 2, Drop: []int{3}},
+			{Agent: 2, Add: []int{3}},
+			{Agent: 0, Drop: []int{1}},
+			{Agent: 0, Add: []int{4}},
+		}
+		for _, mv := range steps {
+			e.commit(mv)
+			checkCache(t, e, g, gm, fmt.Sprintf("after %v", mv))
 		}
 	}
 }

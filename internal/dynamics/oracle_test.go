@@ -159,7 +159,7 @@ func TestRunnerShrinksArenas(t *testing.T) {
 	big := 330
 	cfg := Config{Game: game.NewSwap(game.Sum), Policy: MaxCost{}, DetectCycles: true}
 	r.Run(gen.RandomConnected(big, big+10, gen.NewRand(1)), cfg)
-	if r.capN != big || r.cache == nil || r.cache.n != big {
+	if r.capN != big || r.cache == nil || r.cache.N() != big {
 		t.Fatalf("big run left capN=%d cache=%v", r.capN, r.cache != nil)
 	}
 	// A mild step down must keep the arena capacity watermark.
@@ -176,7 +176,7 @@ func TestRunnerShrinksArenas(t *testing.T) {
 	if r.capN != small {
 		t.Fatalf("capN = %d after shrink, want %d", r.capN, small)
 	}
-	if r.cache == nil || r.cache.n != small {
+	if r.cache == nil || r.cache.N() != small {
 		t.Fatalf("cache not regrown at %d after shrink: %v", small, r.cache != nil)
 	}
 	if r.scrN != small {

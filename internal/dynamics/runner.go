@@ -25,7 +25,7 @@ type Runner struct {
 	scrN int
 	// batch holds one kernel scratch per cache-build shard.
 	batch []*graph.BatchBFSScratch
-	cache *costCache
+	cache *graph.Rows
 	// lmk is the recyclable landmark oracle of landmark-mode runs.
 	lmk *graph.Landmarks
 	// capN is the largest network size the arenas were grown for since

@@ -3,6 +3,7 @@ package game
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ncg/internal/graph"
@@ -182,4 +183,107 @@ func cloneMoves(ms []Move) []Move {
 		out = append(out, m.Clone())
 	}
 	return out
+}
+
+// FuzzLandmarkBound checks the filter's soundness on landmark rows carried
+// by Landmarks.Apply, on both backends: on a random connected network
+// whose landmark rows were repaired through a random prefix of swaps,
+// drops, adds and multi-edge moves (the network then reconnected by
+// single adds), no target bound of a random mover u, armed by the probe
+// or by the full scan, may exceed u's exact best post-swap distance cost
+// to that target — the minimum over u's drops by apply, Cost, undo —
+// under SUM or MAX.
+func FuzzLandmarkBound(f *testing.F) {
+	f.Add(int64(1), 12, uint8(2), []byte{0, 3, 1, 5, 2, 7, 3, 1})
+	f.Add(int64(2), 40, uint8(5), []byte{1, 9, 1, 10, 1, 11, 3, 12, 0, 4})
+	f.Add(int64(3), 66, uint8(3), []byte{3, 64, 1, 0, 0, 3, 2, 65, 3, 17, 0, 8})
+	f.Add(int64(4), 2, uint8(1), []byte{1, 0})
+	f.Fuzz(func(t *testing.T, seed int64, n int, k uint8, script []byte) {
+		n = 2 + (n%79+79)%79
+		if len(script) > 2*64 {
+			script = script[:2*64]
+		}
+		r := rand.New(rand.NewSource(seed))
+		g := lmRandConnected(n, n/3, r)
+		stores := []graph.Store{g, graph.NewSparseFrom(g)}
+		var lms [2]*graph.Landmarks
+		for i, st := range stores {
+			lms[i] = graph.BuildLandmarks(st, 1+int(k)%8, nil)
+		}
+		// move applies an agent move to both backends and their rows.
+		move := func(u int, drop, add []int) {
+			for i, st := range stores {
+				ApplyMove(st, Move{Agent: u, Drop: drop, Add: add})
+				lms[i].Apply(st, u, drop, add)
+			}
+		}
+		for at := 0; at+1 < len(script); at += 2 {
+			u := int(script[at+1]) % n
+			nbrs := g.NeighborList(u, nil)
+			var non []int
+			for v := 0; v < n; v++ {
+				if v != u && !g.HasEdge(u, v) {
+					non = append(non, v)
+				}
+			}
+			// op 0 swaps, 1 drops, 2 adds, 3 moves two edges each way.
+			var drop, add []int
+			op := script[at] % 4
+			if op != 2 && len(nbrs) > 0 {
+				drop = []int{nbrs[r.Intn(len(nbrs))]}
+			}
+			if op != 1 && len(non) > 0 {
+				add = []int{non[r.Intn(len(non))]}
+			}
+			if op == 3 && len(nbrs) > 1 && len(non) > 1 {
+				drop, add = nbrs[:2], non[len(non)-2:]
+			}
+			if len(drop)+len(add) > 0 {
+				move(u, drop, add)
+			}
+		}
+		for dist := g.Distances(0); ; dist = g.Distances(0) {
+			v := slices.Index(dist, graph.Unreachable)
+			if v < 0 {
+				break
+			}
+			move(v, nil, []int{0})
+		}
+		u := r.Intn(n)
+		probe := r.Intn(2) == 0
+		for i, st := range stores {
+			for _, kind := range []DistKind{Sum, Max} {
+				b := &base{kind: kind, alpha: AlphaInt(1)}
+				gm := NewSwap(kind)
+				s, ref := NewScratch(n), NewScratch(n)
+				s.SetLandmarks(lms[i])
+				s.buf = st.NeighborList(u, s.buf[:0])
+				s.buf2 = b.swapTargets(st, u, s.buf2[:0])
+				s.deltaBegin(st, u)
+				armed := false
+				if probe {
+					armed = s.lmProbe(st, u, kind)
+				} else {
+					s.deltaInit(st, u)
+					armed = s.lmArm(u, kind)
+				}
+				if !armed {
+					t.Fatalf("%T kind=%v: the filter failed to arm on a connected network", st, kind)
+				}
+				for _, y := range s.buf2 {
+					bound := s.lmTargetBound(y, kind)
+					best := DistInf
+					for _, x := range s.buf {
+						ap := Apply(st, Move{Agent: u, Drop: []int{x}, Add: []int{y}})
+						best = min(best, gm.Cost(st, u, ref).Dist)
+						ap.Undo()
+					}
+					if bound > best {
+						t.Fatalf("%T kind=%v u=%d +%d (probe=%v): bound %d > exact best post-swap cost %d",
+							st, kind, u, y, probe, bound, best)
+					}
+				}
+			}
+		}
+	})
 }

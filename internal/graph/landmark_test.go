@@ -21,28 +21,6 @@ func randConnected(n, extra int, r *rand.Rand) *Graph {
 	return g
 }
 
-// checkRows compares every oracle row and reached count against a fresh
-// single-source BFS.
-func checkRows(t *testing.T, g *Graph, lm *Landmarks, when string) {
-	t.Helper()
-	ref := make([]int32, g.N())
-	s := NewBFSScratch(g.N())
-	for i := 0; i < lm.K(); i++ {
-		res := g.BFS(lm.ID(i), ref, s)
-		row := lm.Row(i)
-		for v := range ref {
-			if ref[v] != row[v] {
-				t.Fatalf("%s: landmark %d (vertex %d): row[%d] = %d, BFS says %d",
-					when, i, lm.ID(i), v, row[v], ref[v])
-			}
-		}
-		if lm.reached[i] != res.Reached {
-			t.Fatalf("%s: landmark %d: reached = %d, BFS says %d",
-				when, i, lm.reached[i], res.Reached)
-		}
-	}
-}
-
 func TestLandmarksBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 5, 33, 70} {
@@ -63,7 +41,7 @@ func TestLandmarksBuild(t *testing.T) {
 				}
 				seen[lm.ID(i)] = true
 			}
-			checkRows(t, g, lm, "build")
+			checkRows(t, g, &lm.Rows, "build")
 			if !lm.Complete() {
 				t.Fatalf("n=%d k=%d: connected graph reported incomplete", n, k)
 			}
@@ -92,7 +70,7 @@ func TestLandmarksDisconnected(t *testing.T) {
 	if lm.Complete() {
 		t.Fatal("disconnected graph reported complete")
 	}
-	checkRows(t, g, lm, "disconnected build")
+	checkRows(t, g, &lm.Rows, "disconnected build")
 }
 
 // TestLandmarksApplySwaps drives random swap deltas (remove one edge, insert
@@ -120,10 +98,10 @@ func TestLandmarksApplySwaps(t *testing.T) {
 			g.AddEdge(u, y)
 			lm.Apply(g, u, []int{x}, []int{y})
 			if step%29 == 0 {
-				checkRows(t, g, lm, "swap")
+				checkRows(t, g, &lm.Rows, "swap")
 			}
 		}
-		checkRows(t, g, lm, "swap final")
+		checkRows(t, g, &lm.Rows, "swap final")
 	}
 }
 
@@ -150,10 +128,10 @@ func TestLandmarksApplySingles(t *testing.T) {
 			lm.Apply(g, u, nil, []int{v})
 		}
 		if step%23 == 0 {
-			checkRows(t, g, lm, "single")
+			checkRows(t, g, &lm.Rows, "single")
 		}
 	}
-	checkRows(t, g, lm, "single final")
+	checkRows(t, g, &lm.Rows, "single final")
 }
 
 // TestLandmarksApplyMulti exercises the multi-edge fallback (full batched
@@ -183,5 +161,5 @@ func TestLandmarksApplyMulti(t *testing.T) {
 		g.AddEdge(u, y)
 	}
 	lm.Apply(g, u, drops, adds)
-	checkRows(t, g, lm, "multi")
+	checkRows(t, g, &lm.Rows, "multi")
 }
