@@ -6,6 +6,7 @@
 // Usage:
 //
 //	ncgcycle [-workers n] [-max-states n] [-progress d]
+//	         [-cpuprofile path] [-memprofile path]
 //
 // The exhaustive state-space explorations run on the interned state store
 // as parallel frontier expansions; -workers sets the expansion pool
@@ -47,6 +48,8 @@ Usage:
                      bit-identical to exact)
       -backend b     adjacency backend of the -schedule trajectories
                      (auto, dense, sparse; bit-identical either way)
+      -cpuprofile path  write a CPU profile of the run (go tool pprof)
+      -memprofile path  write a heap profile taken after the run
 `
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -73,6 +76,8 @@ func (a *app) main(args []string) {
 	scheduleName := fs.String("schedule", "", "")
 	oracleName := fs.String("oracle", "auto", "")
 	backendName := fs.String("backend", "auto", "")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		cli.Exit(2)
 	}
@@ -109,6 +114,7 @@ func (a *app) main(args []string) {
 	// analysis loop stops between analyses, and the command exits 130.
 	ctx, stop := cli.SignalContext(a.Stderr, "ncgcycle")
 	defer stop()
+	defer prof.Start(a.App)()
 	interrupted := func() {
 		fmt.Fprintln(a.Stderr, "ncgcycle: interrupted")
 		cli.Exit(cli.SignalExitCode)

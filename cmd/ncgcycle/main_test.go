@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -66,6 +68,27 @@ func TestScheduleSmoke(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trajectory section misses %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestProfileFlags: the profiles are written on the failure exit too
+// (capped explorations exit 1).
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if code, _, _ := runCmd("-max-states", "50", "-workers", "1", "-cpuprofile", cpu, "-memprofile", mem); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	checkProfiles(t, cpu, mem)
+}
+
+// checkProfiles requires both profile files to exist and be non-empty.
+func checkProfiles(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: profile missing or empty (%v)", p, err)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 //	ncghunt run [-samplers a,b] [-variants x,y] [-n n] [-instances k]
 //	            [-seed s] [-max-states m] [-max-hits h]
 //	            [-workers w] [-shard s] [-jsonl path] [-progress]
+//	            [-cpuprofile path] [-memprofile path]
 //	ncghunt resume -jsonl path [same flags as run]
 //	ncghunt serve -dir path [-addr host:port] [campaign flags]
 //	ncghunt work -url http://host:port [campaign flags]
@@ -69,6 +70,9 @@ Usage:
                        results)
         -jsonl path    stream per-instance records to this JSONL file
         -progress      print per-shard progress to stderr
+        -cpuprofile path  write a CPU profile of the run (go tool pprof;
+                          also on resume, serve and work)
+        -memprofile path  write a heap profile taken after the run
 
   ncghunt resume -jsonl path [flags]
       Continue an interrupted campaign from a partial JSONL file,
@@ -252,6 +256,8 @@ func (a *app) cmdRun(args []string, resume bool) {
 	shard := fs.Int("shard", 0, "instances per shard (0 = auto)")
 	jsonlPath := fs.String("jsonl", "", "stream per-instance records to this JSONL file")
 	progress := fs.Bool("progress", false, "print per-shard progress to stderr")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		cli.Exit(2)
 	}
@@ -272,6 +278,7 @@ func (a *app) cmdRun(args []string, resume bool) {
 
 	ctx, stop := cli.SignalContext(a.Stderr, "ncghunt")
 	defer stop()
+	defer prof.Start(a.App)()
 	opt := campaign.Options{
 		MaxHits:   *maxHits,
 		Workers:   *workers,
@@ -370,6 +377,8 @@ func (a *app) cmdServe(args []string) {
 	name := fs.String("name", "hunt", "hosted campaign name (routes under /c/<name>/)")
 	streamClients := fs.Int("stream-clients", 0, "max concurrent /v1/stream clients (0 = 64)")
 	logEvery := fs.Duration("log-every", 30*time.Second, "period of status lines with autoscaling hints (0 = off)")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		cli.Exit(2)
 	}
@@ -393,6 +402,7 @@ func (a *app) cmdServe(args []string) {
 	// graceful stop, never a mid-write kill.
 	ctx, stop := cli.SignalContext(a.Stderr, "ncghunt")
 	defer stop()
+	defer prof.Start(a.App)()
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(a.Stderr, format+"\n", args...)
@@ -471,6 +481,8 @@ func (a *app) cmdWork(args []string) {
 	cf.register(fs)
 	url := fs.String("url", "", "coordinator base URL (http://host:port)")
 	name := fs.String("name", "", "worker name in leases and logs (default: host:pid)")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		cli.Exit(2)
 	}
@@ -486,6 +498,7 @@ func (a *app) cmdWork(args []string) {
 	}
 	ctx, stop := cli.SignalContext(a.Stderr, "ncghunt")
 	defer stop()
+	defer prof.Start(a.App)()
 	stats, err := coord.RunWorker(ctx, coord.WorkerConfig{
 		URL:      *url,
 		Campaign: cf.build(a),

@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -246,8 +244,8 @@ func (a *app) cmdRun(args []string, gridRequired bool) {
 	jsonlPath := fs.String("jsonl", "", "stream per-trial records to this JSONL file")
 	csvPath := fs.String("csv", "", "stream per-trial records to this CSV file")
 	resume := fs.Bool("resume", false, "resume from a partial -jsonl file")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := fs.String("memprofile", "", "write a post-run heap profile to this file")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		cli.Exit(2)
 	}
@@ -323,7 +321,7 @@ func (a *app) cmdRun(args []string, gridRequired bool) {
 		sinks = append(sinks, ensemble.NewCSVSink(f))
 	}
 
-	stopProfiles := a.startProfiles(*cpuProfile, *memProfile)
+	stopProfiles := prof.Start(a.App)
 	sum, err := ensemble.Execute(sc, opt, sinks...)
 	stopProfiles()
 	if errors.Is(err, context.Canceled) {
@@ -348,38 +346,6 @@ func (a *app) cmdRun(args []string, gridRequired bool) {
 			a.TotalMoves[0], a.TotalMoves[1], a.TotalMoves[2], a.TotalMoves[3])
 	}
 	tw.Flush()
-}
-
-// startProfiles begins CPU profiling and returns a function that stops it
-// and writes the heap profile, so regressions in run and sweep workloads
-// can be diagnosed with go tool pprof instead of editing code. Empty paths
-// disable the respective profile.
-func (a *app) startProfiles(cpuPath, memPath string) func() {
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			a.Errorf("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			a.Errorf("cpuprofile: %v", err)
-		}
-	}
-	return func() {
-		if cpuPath != "" {
-			pprof.StopCPUProfile()
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				a.Errorf("%v", err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live retention
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				a.Errorf("memprofile: %v", err)
-			}
-		}
-	}
 }
 
 func (a *app) cmdFig(args []string) {

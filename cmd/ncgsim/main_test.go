@@ -151,3 +151,26 @@ func TestResumeRebuildsCSV(t *testing.T) {
 		t.Fatalf("resumed JSONL differs from the uninterrupted run (%v)", err)
 	}
 }
+
+// TestProfileFlags: run takes -cpuprofile and -memprofile.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	code, _, errOut := runCmd("run", "fig1-sg-max-path",
+		"-nmin", "8", "-nmax", "8", "-trials", "1", "-workers", "1",
+		"-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	checkProfiles(t, cpu, mem)
+}
+
+// checkProfiles requires both profile files to exist and be non-empty.
+func checkProfiles(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: profile missing or empty (%v)", p, err)
+		}
+	}
+}

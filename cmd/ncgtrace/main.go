@@ -7,6 +7,7 @@
 //
 //	ncgtrace [-n 9] [-game max-sg] [-alpha-num 1 -alpha-den 1]
 //	         [-policy maxcost] [-init path] [-seed 1] [-backend auto]
+//	         [-cpuprofile path] [-memprofile path]
 package main
 
 import (
@@ -28,7 +29,8 @@ const usage = `ncgtrace — trace a single network creation process step by step
 Usage:
   ncgtrace [-n 9] [-game max-sg] [-alpha-num 1 -alpha-den 1]
            [-policy maxcost-det] [-init path] [-k 1] [-seed 1]
-           [-schedule sequential] [-oracle auto]
+           [-schedule sequential] [-oracle auto] [-backend auto]
+           [-cpuprofile path] [-memprofile path]
 
 Games:     sum-sg, max-sg, sum-asg, max-asg, sum-gbg, max-gbg.
 Policies:  maxcost, maxcost-det, random.
@@ -40,6 +42,8 @@ Backends:  auto, dense, sparse — the adjacency representation (bitset
            matrix or CSR lists); traces are bit-identical either way, and
            auto pairs sparse with landmark-mode runs.
 Initial networks: path, cycle, random-tree, budget-k (budget via -k).
+Profiles:  -cpuprofile path writes a CPU profile of the run, -memprofile
+           path a heap profile taken after it (go tool pprof).
 `
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -70,6 +74,8 @@ func (a *app) main(args []string) {
 	scheduleName := fs.String("schedule", "sequential", "activation schedule: sequential or a rounds variant")
 	oracleName := fs.String("oracle", "auto", "distance oracle: auto, exact, landmark, landmark:k")
 	backendName := fs.String("backend", "auto", "adjacency backend: auto, dense, sparse")
+	var prof cli.Profiles
+	prof.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		cli.Exit(2)
 	}
@@ -153,6 +159,7 @@ func (a *app) main(args []string) {
 	// it played, and exits 130 — never a mid-line kill.
 	ctx, stop := cli.SignalContext(a.Stderr, "ncgtrace")
 	defer stop()
+	defer prof.Start(a.App)()
 
 	_, rounds := sched.(dynamics.Rounds)
 	// The backend choice changes the mutated representation, never the

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,5 +65,28 @@ func TestFigure1Trace(t *testing.T) {
 	}
 	if !strings.Contains(out, "step ") {
 		t.Errorf("no steps printed:\n%s", out)
+	}
+}
+
+// TestProfileFlags: -cpuprofile and -memprofile profile a landmark-mode
+// trace on the CSR backend.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	code, _, errOut := runCmd("-n", "80", "-game", "sum-sg", "-init", "random-tree",
+		"-oracle", "landmark:4", "-backend", "sparse", "-cpuprofile", cpu, "-memprofile", mem)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	checkProfiles(t, cpu, mem)
+}
+
+// checkProfiles requires both profile files to exist and be non-empty.
+func checkProfiles(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Fatalf("%s: profile missing or empty (%v)", p, err)
+		}
 	}
 }

@@ -214,9 +214,9 @@ type passCounter struct {
 	passes, searches int
 }
 
-func (c *passCounter) AllSourcesBFS(rows [][]int32, res []graph.BFSResult, s *graph.BatchBFSScratch) {
+func (c *passCounter) AllSourcesBFS(res []graph.BFSResult, s *graph.BatchBFSScratch) {
 	c.passes++
-	c.Store.AllSourcesBFS(rows, res, s)
+	c.Store.AllSourcesBFS(res, s)
 }
 
 func (c *passCounter) BFS(src int, dist []int32, s *graph.BFSScratch) graph.BFSResult {

@@ -334,6 +334,36 @@ func BenchmarkOracleBuild1e5(b *testing.B) {
 	}
 }
 
+// BenchmarkAllSourcesAggregates4096 times the aggregate-only all-sources
+// pass behind landmark mode's cost reads on perfbench landmark's network
+// shape, with a warm scratch; BenchmarkAllSourcesAggregates1e5 is the same
+// pass on the first step of TestScaleSmokeMaxCostRun1e5's network.
+func BenchmarkAllSourcesAggregates4096(b *testing.B) {
+	benchAllSourcesAggregates(b, 4096, 512, 2)
+}
+
+func BenchmarkAllSourcesAggregates1e5(b *testing.B) {
+	if os.Getenv("NCG_SCALE_BENCH") == "" {
+		b.Skip("set NCG_SCALE_BENCH=1 to run the n=1e5 benchmarks")
+	}
+	benchAllSourcesAggregates(b, scaleN, scaleN/10, 1)
+}
+
+func benchAllSourcesAggregates(b *testing.B, n, extra int, seed int64) {
+	sp, err := gen.SparseCSR(n, extra, gen.NewRand(seed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res := make([]graph.BFSResult, n)
+	s := graph.NewBatchBFSScratch(n)
+	sp.AllSourcesBFS(res, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.AllSourcesBFS(res, s)
+	}
+}
+
 // BenchmarkLandmarkScan1e5 times one filtered best-response scan (BestMoves
 // of agent 0) at n=10^5 with the landmark filter armed.
 func BenchmarkLandmarkScan1e5(b *testing.B) {

@@ -86,62 +86,12 @@ func checkFoldScript(t *testing.T, g graph.Store, sum, mx Game, r *rand.Rand) {
 	s := NewScratch(n)
 	AllCosts(g, sum, s, nil)
 	folds := 0
-	var nbrs []int
 	for step := 0; step < 60; step++ {
-		leaf := -1
-		for _, u := range r.Perm(n) {
-			if g.Degree(u) == 1 {
-				leaf = u
-				break
-			}
-		}
-		u := r.Intn(n)
-		op := r.Intn(10)
-		if op < 6 && leaf >= 0 {
-			u = leaf
-		}
-		nbrs = g.NeighborList(u, nbrs[:0])
-		// other draws an agent u may add an edge to; only called while u
-		// has fewer than n-1 neighbors.
-		other := func() int {
-			w := r.Intn(n)
-			for w == u || g.HasEdge(u, w) {
-				w = r.Intn(n)
-			}
-			return w
-		}
-		var m Move
-		switch {
-		case !g.Connected() && r.Intn(2) == 0:
-			// Reconnect, so later leaf swaps can fold again.
-			dist := make([]int32, n)
-			g.BFS(0, dist, s.bfs)
-			for x := range dist {
-				if dist[x] == graph.Unreachable {
-					m = Move{Agent: x, Add: []int{0}}
-					break
-				}
-			}
-		case len(nbrs) == 0:
-			m = Move{Agent: u, Add: []int{other()}}
-		case op == 8 || len(nbrs) == n-1:
-			// Drop only; an agent adjacent to all others has no edge to add.
-			m = Move{Agent: u, Drop: []int{nbrs[r.Intn(len(nbrs))]}}
-		case op < 8:
-			m = Move{Agent: u, Drop: []int{nbrs[r.Intn(len(nbrs))]}, Add: []int{other()}}
-		default:
-			m = Move{Agent: u, Add: []int{other()}}
-		}
-		want := m.Kind() == KindSwap && g.Degree(m.Agent) == 1 && g.Connected()
-		pre := g.AdjVersion()
-		ApplyMove(g, m)
-		if got := s.FoldLeafSwap(g, pre, m); got != want {
-			t.Fatalf("%T n=%d step %d (%v): fold = %v, want %v", g, n, step, m, got, want)
-		}
-		if want {
+		m := foldScriptMove(g, r)
+		where := fmt.Sprintf("%T n=%d step %d (%v)", g, n, step, m)
+		if foldMove(t, where, g, s, m) {
 			folds++
 		}
-		where := fmt.Sprintf("%T n=%d step %d (%v)", g, n, step, m)
 		if step%2 == 0 {
 			// MAX first: a folded memo must not serve its eccentricities.
 			sameCosts(t, where, AllCosts(g, mx, s, nil), AllCosts(g, mx, NewScratch(n), nil))
@@ -151,6 +101,121 @@ func checkFoldScript(t *testing.T, g graph.Store, sum, mx Game, r *rand.Rand) {
 	if folds == 0 {
 		t.Fatalf("%T n=%d: the script folded no move", g, n)
 	}
+}
+
+// foldScriptMove draws the next move of a fold script on g (n >= 3): a
+// leaf's swap six times in ten when g has a leaf, otherwise a random
+// agent's swap, drop or addition; a disconnected network is reconnected
+// every other move, so later leaf swaps can fold again.
+func foldScriptMove(g graph.Store, r *rand.Rand) Move {
+	n := g.N()
+	leaf := -1
+	for _, u := range r.Perm(n) {
+		if g.Degree(u) == 1 {
+			leaf = u
+			break
+		}
+	}
+	u := r.Intn(n)
+	op := r.Intn(10)
+	if op < 6 && leaf >= 0 {
+		u = leaf
+	}
+	nbrs := g.NeighborList(u, nil)
+	// other draws an agent u may add an edge to; only called while u
+	// has fewer than n-1 neighbors.
+	other := func() int {
+		w := r.Intn(n)
+		for w == u || g.HasEdge(u, w) {
+			w = r.Intn(n)
+		}
+		return w
+	}
+	switch {
+	case !g.Connected() && r.Intn(2) == 0:
+		dist := make([]int32, n)
+		g.BFS(0, dist, graph.NewBFSScratch(n))
+		for x := range dist {
+			if dist[x] == graph.Unreachable {
+				return Move{Agent: x, Add: []int{0}}
+			}
+		}
+	case len(nbrs) == 0:
+		return Move{Agent: u, Add: []int{other()}}
+	case op == 8 || len(nbrs) == n-1:
+		// Drop only; an agent adjacent to all others has no edge to add.
+		return Move{Agent: u, Drop: []int{nbrs[r.Intn(len(nbrs))]}}
+	case op < 8:
+		return Move{Agent: u, Drop: []int{nbrs[r.Intn(len(nbrs))]}, Add: []int{other()}}
+	}
+	return Move{Agent: u, Add: []int{other()}}
+}
+
+// foldMove applies m to g and offers it to FoldLeafSwap on s's memo, which
+// must fold exactly the swaps of a leaf in a connected network. It reports
+// whether the memo folded.
+func foldMove(t *testing.T, where string, g graph.Store, s *Scratch, m Move) bool {
+	t.Helper()
+	want := m.Kind() == KindSwap && g.Degree(m.Agent) == 1 && g.Connected()
+	pre := g.AdjVersion()
+	ApplyMove(g, m)
+	if got := s.FoldLeafSwap(g, pre, m); got != want {
+		t.Fatalf("%s: fold = %v, want %v", where, got, want)
+	}
+	return want
+}
+
+// FuzzFoldLeafSwap carries one memo per backend across a random script of
+// leaf swaps and other moves on a random near-tree (a random tree plus up
+// to seven chords, 3..160 agents), offering every move to FoldLeafSwap.
+// After every move each agent's MemoCost read under SUM must equal Cost;
+// reads under MAX, which rerun the pass on a folded memo, must equal Cost
+// too and happen after every maxEvery-th move (1..4), so folds chain
+// between them.
+func FuzzFoldLeafSwap(f *testing.F) {
+	f.Add(int64(1), 3, uint8(0), uint8(1), uint8(12))
+	f.Add(int64(2), 12, uint8(0), uint8(3), uint8(30))
+	f.Add(int64(3), 40, uint8(3), uint8(2), uint8(30))
+	f.Add(int64(4), 65, uint8(7), uint8(4), uint8(24))
+	f.Add(int64(5), 130, uint8(2), uint8(1), uint8(16))
+	f.Fuzz(func(t *testing.T, seed int64, n int, chords, maxEvery, steps uint8) {
+		if n < 3 || n > 160 {
+			t.Skip()
+		}
+		r := rand.New(rand.NewSource(seed))
+		dense := gen.RandomTree(n, r)
+		for i := 0; i < int(chords%8); i++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v && !dense.HasEdge(u, v) {
+				dense.AddEdge(u, v)
+			}
+		}
+		sum, mx := NewSwap(Sum), NewSwap(Max)
+		every := 1 + int(maxEvery%4)
+		for _, g := range []graph.Store{dense.Clone(), graph.NewSparseFrom(dense)} {
+			s, fresh := NewScratch(n), NewScratch(n)
+			AllCosts(g, sum, s, nil)
+			rs := rand.New(rand.NewSource(seed))
+			for step := 0; step < int(steps%40); step++ {
+				m := foldScriptMove(g, rs)
+				where := fmt.Sprintf("%T n=%d step %d (%v)", g, n, step, m)
+				foldMove(t, where, g, s, m)
+				for u := 0; u < n; u++ {
+					if got, want := MemoCost(g, sum, u, s), sum.Cost(g, u, fresh); got != want {
+						t.Fatalf("%s: SUM memo cost of %d = %v, Cost %v", where, u, got, want)
+					}
+				}
+				if (step+1)%every != 0 {
+					continue
+				}
+				for u := 0; u < n; u++ {
+					if got, want := MemoCost(g, mx, u, s), mx.Cost(g, u, fresh); got != want {
+						t.Fatalf("%s: MAX memo cost of %d = %v, Cost %v", where, u, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 func sameCosts(t *testing.T, where string, got, want []Cost) {

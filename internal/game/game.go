@@ -72,8 +72,9 @@ func EdgeCostHalves(gm Game, g graph.Store, u int) (int64, bool) {
 }
 
 // AllCosts appends every agent's current cost to dst, computing all
-// distance aggregates in one batched bit-parallel BFS pass (64 sources per
-// pass) instead of n single-source searches. The result is identical to
+// distance aggregates in one aggregate-only all-sources pass
+// (graph.Store.AllSourcesBFS: 256 sources per sweep, leaves read off their
+// parents) instead of n single-source searches. The result is identical to
 // calling gm.Cost per agent; games whose edge-cost term is not derivable
 // from degrees fall back to per-agent evaluation. The pass is memoized in
 // s (see MemoCost), so it also warms s for the leaf scans of swap games.
@@ -112,7 +113,7 @@ func (s *Scratch) allSources(g graph.Store, kind DistKind) []graph.BFSResult {
 		s.sums = make([]graph.BFSResult, n)
 	}
 	s.sums = s.sums[:n]
-	g.AllSourcesBFS(nil, s.sums, s.kernel())
+	g.AllSourcesBFS(s.sums, s.kernel())
 	s.sumsFor, s.sumsVer, s.sumsFolded = g, g.AdjVersion(), false
 	return s.sums
 }

@@ -6,34 +6,33 @@ import "math/bits"
 // simultaneously through one pass over the adjacency structure.
 //
 // The kernel maintains one uint64 of source membership per vertex: bit i of
-// reach[v] records that source i has reached v, bit i of front[v] that it
-// did so in the current level. A level expands every frontier word along the
-// incident edges (next[w] |= front[v] for each edge {v,w}), then settles the
-// newly reached pairs (next[w] &^ reach[w]) in one word operation per
-// vertex, so the per-level frontier work of 64 searches collapses into a
-// single pass. Settled depths are staged in a group-local transposed matrix
-// (64 consecutive entries per vertex, so a settle touches at most four
-// cache lines instead of 64 rows) and emitted to the caller's rows by one
-// blocked transpose after the search; per-source aggregates are folded once
-// per level from 64 newly-reached counters instead of once per pair.
-// Distances are unique, so every per-source row, Sum, Ecc and Reached is
-// bit-identical to a separate single-source BFS.
+// reach[v] records that source i has reached v. A level expands the word of
+// every frontier vertex v along its edges (next[w] |= word(v) for each edge
+// {v,w}), then settles the newly reached pairs (next[w] &^ reach[w]) in one
+// word operation per vertex, so the per-level frontier work of 64 searches
+// collapses into a single pass. Settled depths are staged in a group-local
+// transposed matrix (64 consecutive entries per vertex, so a settle touches
+// at most four cache lines instead of 64 rows) and emitted to the caller's
+// rows by one blocked transpose after the search; per-source aggregates are
+// folded once per level from 64 newly-reached counters instead of once per
+// pair. Distances are unique, so every per-source row, Sum, Ecc and Reached
+// is bit-identical to a separate single-source BFS.
 //
-// All-sources consumers (the engine's distance-cache build, delta-scan
-// neighbour rows, social-cost metrics) call this instead of n independent
-// searches; sources are processed in groups of 64, n not a multiple of 64
-// simply leaves high bits of the last group unused.
+// Row consumers (the engine's distance-cache build, delta-scan neighbour
+// rows, landmark and survivor rows) call this instead of independent
+// searches; sources are processed in groups of 64, a group of fewer simply
+// leaves high bits unused. Callers that need aggregates only take
+// AllSourcesBFS, whose pass (aggregates.go) folds at the settled vertex,
+// sweeps 256 sources at a time and reads leaves off their parents.
 
 // BatchBFSScratch holds the reusable buffers of batched searches: the
-// per-vertex membership words and the transposed depth staging matrix. A
-// scratch grows on demand and may be reused across graphs; it is not safe
-// for concurrent use.
+// per-vertex membership words and the transposed depth staging matrix, and
+// those of the aggregate pass. A scratch grows on demand and may be reused
+// across graphs; it is not safe for concurrent use.
 type BatchBFSScratch struct {
 	reach []uint64
-	front []uint64
 	next  []uint64
 	tmat  []int32 // n x 64 transposed depth staging, entry [v*64+i]
-	seq   []int
 	// CSR neighbour lists of the current graph, shared by all source groups
 	// of a batch call: the neighbours of v are csr[csrOff[v]:csrOff[v+1]].
 	// Expansion walks these flat lists instead of re-unpacking adjacency
@@ -55,6 +54,8 @@ type BatchBFSScratch struct {
 	nxtV    []int32
 	nxtW    []uint64
 	touched []bool
+	// agg holds the buffers of the aggregate-only pass (aggregates.go).
+	agg aggScratch
 }
 
 // NewBatchBFSScratch returns scratch space for batched BFS on n-vertex
@@ -70,7 +71,6 @@ func (s *BatchBFSScratch) grow(n int) {
 		return
 	}
 	s.reach = make([]uint64, n)
-	s.front = make([]uint64, n)
 	s.next = make([]uint64, n)
 	s.tmat = make([]int32, n*64)
 	s.curV = make([]int32, n)
@@ -78,17 +78,6 @@ func (s *BatchBFSScratch) grow(n int) {
 	s.nxtV = make([]int32, n)
 	s.nxtW = make([]uint64, n)
 	s.touched = make([]bool, (n+63)/64)
-}
-
-// sequence returns the reusable identity source list [0, n).
-func (s *BatchBFSScratch) sequence(n int) []int {
-	if len(s.seq) < n {
-		s.seq = make([]int, n)
-		for i := range s.seq {
-			s.seq[i] = i
-		}
-	}
-	return s.seq[:n]
 }
 
 // buildCSR snapshots g's adjacency into the scratch's flat neighbour lists,
@@ -157,13 +146,12 @@ func (g *Graph) BatchBFSExcluding(sources []int, excl int, rows [][]int32, res [
 	batchBFSOver(g, sources, excl, rows, res, s)
 }
 
-// AllSourcesBFS runs BatchBFS from every vertex of the graph: rows, if
-// non-nil, must have n entries (row u receiving the distances from u), res,
-// if non-nil, n aggregates. It is the all-pairs primitive behind distance
-// cache construction and the social-cost metrics.
-func (g *Graph) AllSourcesBFS(rows [][]int32, res []BFSResult, s *BatchBFSScratch) {
-	s.grow(g.n)
-	batchBFSOver(g, s.sequence(g.n), -1, rows, res, s)
+// AllSourcesBFS computes every vertex's BFS aggregates into res (length n)
+// in the aggregate-only pass of aggregates.go, 256 sources per sweep. It is
+// the primitive behind the memoized cost reads of landmark mode and the
+// social-cost metrics; each res[u] is identical to BFS from u.
+func (g *Graph) AllSourcesBFS(res []BFSResult, s *BatchBFSScratch) {
+	allSourcesOver(g, res, s)
 }
 
 // FillUnreachable sets every entry of dst to Unreachable; it is the
@@ -229,7 +217,9 @@ func allSourcesFlatOver(g Store, mat []int32, res []BFSResult, s *BatchBFSScratc
 		panic("graph: AllSourcesBFSFlat res length mismatch")
 	}
 	if mat == nil {
-		g.AllSourcesBFS(nil, res, s)
+		if res != nil {
+			g.AllSourcesBFS(res, s)
+		}
 		return
 	}
 	s.grow(n)
@@ -266,14 +256,10 @@ func batchBFSOver(g Store, sources []int, excl int, rows [][]int32, res []BFSRes
 		if hi > len(sources) {
 			hi = len(sources)
 		}
-		haveRows := false
 		for i := lo; i < hi; i++ {
 			var row []int32
 			if rows != nil {
 				row = rows[i]
-			}
-			if row != nil {
-				haveRows = true
 			}
 			rw[i-lo] = row
 		}
@@ -281,7 +267,7 @@ func batchBFSOver(g Store, sources []int, excl int, rows [][]int32, res []BFSRes
 		if res != nil {
 			rs = res[lo:hi]
 		}
-		batchGroup(n, sources[lo:hi], excl, &rw, haveRows, rs, s)
+		batchGroup(n, sources[lo:hi], excl, &rw, rs, s)
 	}
 }
 
@@ -307,10 +293,9 @@ func batchFold(res []BFSResult, cnt *[64]int32, depth int32) {
 const smallBlocks = 16
 
 // batchGroup runs one group of at most 64 sources to exhaustion. rw holds
-// the per-source output rows (entries may be nil; haveRows false skips
-// depth staging entirely, for aggregate-only callers); res, if non-nil,
+// the per-source output rows (entries may be nil); res, if non-nil,
 // receives one aggregate per source.
-func batchGroup(n int, src []int, excl int, rw *[64][]int32, haveRows bool, res []BFSResult, s *BatchBFSScratch) {
+func batchGroup(n int, src []int, excl int, rw *[64][]int32, res []BFSResult, s *BatchBFSScratch) {
 	csr, off := s.csr, s.csrOff
 	reach := s.reach[:n]
 	next := s.next[:n]
@@ -318,11 +303,8 @@ func batchGroup(n int, src []int, excl int, rw *[64][]int32, haveRows bool, res 
 		reach[v] = 0
 		next[v] = 0
 	}
-	var tmat []int32
-	if haveRows {
-		tmat = s.tmat[: n*64 : n*64]
-		fill32(tmat, Unreachable)
-	}
+	tmat := s.tmat[: n*64 : n*64]
+	fill32(tmat, Unreachable)
 	// Seed the frontier: accumulate source bits per vertex in next (handles
 	// duplicate sources), then drain into the (vertex, word) pair list.
 	curV, curW := s.curV[:n], s.curW[:n]
@@ -336,9 +318,7 @@ func batchGroup(n int, src []int, excl int, rw *[64][]int32, haveRows bool, res 
 		}
 		next[v] |= bit
 		reach[v] |= bit
-		if haveRows {
-			tmat[v<<6|i] = 0
-		}
+		tmat[v<<6|i] = 0
 	}
 	for j := 0; j < lc; j++ {
 		v := curV[j]
@@ -401,42 +381,24 @@ func batchGroup(n int, src []int, excl int, rw *[64][]int32, haveRows bool, res 
 			if wh > n {
 				wh = n
 			}
-			if haveRows {
-				for w := blk << 6; w < wh; w++ {
-					nw := next[w] &^ reach[w]
-					next[w] = 0
-					if nw == 0 {
-						continue
-					}
-					reach[w] |= nw
-					nxtV[ln] = int32(w)
-					nxtW[ln] = nw
-					ln++
-					// Array-pointer view plus index masking drop the
-					// per-pair bounds checks from the hottest loop.
-					tw := (*[64]int32)(tmat[w<<6:])
-					for m := nw; m != 0; {
-						i := bits.TrailingZeros64(m) & 63
-						m &= m - 1
-						tw[i] = depth
-						cnt[i]++
-					}
+			for w := blk << 6; w < wh; w++ {
+				nw := next[w] &^ reach[w]
+				next[w] = 0
+				if nw == 0 {
+					continue
 				}
-			} else {
-				for w := blk << 6; w < wh; w++ {
-					nw := next[w] &^ reach[w]
-					next[w] = 0
-					if nw == 0 {
-						continue
-					}
-					reach[w] |= nw
-					nxtV[ln] = int32(w)
-					nxtW[ln] = nw
-					ln++
-					for m := nw; m != 0; {
-						cnt[bits.TrailingZeros64(m)]++
-						m &= m - 1
-					}
+				reach[w] |= nw
+				nxtV[ln] = int32(w)
+				nxtW[ln] = nw
+				ln++
+				// Array-pointer view plus index masking drop the
+				// per-pair bounds checks from the hottest loop.
+				tw := (*[64]int32)(tmat[w<<6:])
+				for m := nw; m != 0; {
+					i := bits.TrailingZeros64(m) & 63
+					m &= m - 1
+					tw[i] = depth
+					cnt[i]++
 				}
 			}
 		}
@@ -448,9 +410,6 @@ func batchGroup(n int, src []int, excl int, rw *[64][]int32, haveRows bool, res 
 		lc = ln
 	}
 
-	if !haveRows {
-		return
-	}
 	// Emit: blocked transpose of the staging matrix into the caller's rows.
 	// A 64-vertex block of tmat is 16 KiB, so each output row segment is
 	// written sequentially from L1-resident input.

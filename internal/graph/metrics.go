@@ -1,10 +1,10 @@
 package graph
 
-// allResultsOf computes the per-source BFS aggregates of every vertex with
-// the batched bit-parallel kernel, 64 sources per pass.
+// allResultsOf computes the BFS aggregates of every vertex in one
+// aggregate-only all-sources pass.
 func allResultsOf(g Store) []BFSResult {
 	res := make([]BFSResult, g.N())
-	g.AllSourcesBFS(nil, res, NewBatchBFSScratch(g.N()))
+	g.AllSourcesBFS(res, &BatchBFSScratch{})
 	return res
 }
 

@@ -633,10 +633,10 @@ func (sp *Sparse) BatchBFSExcluding(sources []int, excl int, rows [][]int32, res
 	batchBFSOver(sp, sources, excl, rows, res, s)
 }
 
-// AllSourcesBFS runs BatchBFS from every vertex.
-func (sp *Sparse) AllSourcesBFS(rows [][]int32, res []BFSResult, s *BatchBFSScratch) {
-	s.grow(sp.n)
-	batchBFSOver(sp, s.sequence(sp.n), -1, rows, res, s)
+// AllSourcesBFS computes every vertex's BFS aggregates; contract identical
+// to (*Graph).AllSourcesBFS.
+func (sp *Sparse) AllSourcesBFS(res []BFSResult, s *BatchBFSScratch) {
+	allSourcesOver(sp, res, s)
 }
 
 // AllSourcesBFSFlat is AllSourcesBFS into a row-major n*n matrix.

@@ -94,8 +94,9 @@ type Store interface {
 	BatchBFS(sources []int, rows [][]int32, res []BFSResult, s *BatchBFSScratch)
 	// BatchBFSExcluding is BatchBFS on the vertex-deleted subgraph G-excl.
 	BatchBFSExcluding(sources []int, excl int, rows [][]int32, res []BFSResult, s *BatchBFSScratch)
-	// AllSourcesBFS runs BatchBFS from every vertex.
-	AllSourcesBFS(rows [][]int32, res []BFSResult, s *BatchBFSScratch)
+	// AllSourcesBFS computes every vertex's BFS aggregates; see
+	// (*Graph).AllSourcesBFS.
+	AllSourcesBFS(res []BFSResult, s *BatchBFSScratch)
 	// AllSourcesBFSFlat is AllSourcesBFS into a row-major n*n matrix.
 	AllSourcesBFSFlat(mat []int32, res []BFSResult, s *BatchBFSScratch)
 	// AllSourcesBFSShard covers sources [lo, hi) of the flat matrix.
