@@ -41,11 +41,11 @@ type engine struct {
 	// kept exact across moves by afterMove.
 	lmk   *graph.Landmarks
 	probe []bool
-	// ord/agents/costs are the reusable buffers of the engine-side policy
-	// orderings (pickEngine), so cost sorting allocates nothing per step.
-	ord    []int
-	agents []costedAgent
-	costs  []game.Cost
+	// order is the max cost policies' lazily popped cost order and wave
+	// the agents of the probe wave in flight; both keep their buffers
+	// across steps, so ordering allocates nothing per step.
+	order costOrder
+	wave  []int
 	// arena owns the recyclable state across runs.
 	arena *Runner
 }
@@ -109,6 +109,7 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	}
 	if cap(e.probe) < workers {
 		e.probe = make([]bool, workers)
+		e.wave = make([]int, 0, workers)
 	}
 	e.probe = e.probe[:workers]
 }
@@ -212,14 +213,15 @@ func (e *engine) afterMove(pre uint64, mv game.Move) {
 	}
 }
 
-// firstUnhappy returns the first agent of order with an improving move, or
-// -1. With multiple workers, probes run in waves of one agent per worker
-// (every game's queries only read the graph); the waves are scanned in
-// order, so the result is independent of scheduling.
-func (e *engine) firstUnhappy(order []int) int {
-	if e.workers <= 1 || len(order) < 2 {
+// firstUnhappy probes agents in the order next yields them (-1 when none
+// is left) and returns the first with an improving move, or -1. With
+// multiple workers, probes run in waves of one agent per worker (every
+// game's queries only read the graph); the waves are scanned in order, so
+// the result is independent of scheduling.
+func (e *engine) firstUnhappy(next func() int) int {
+	if e.workers <= 1 {
 		s := e.scr[0]
-		for _, u := range order {
+		for u := next(); u >= 0; u = next() {
 			if e.gm.HasImproving(e.g, u, s) {
 				return u
 			}
@@ -229,32 +231,31 @@ func (e *engine) firstUnhappy(order []int) int {
 	// Wave sizes ramp up exponentially: the first probed agent is very
 	// often already the mover, so speculation only widens while a streak
 	// of happy agents keeps paying for it.
-	wave := 1
-	for base := 0; base < len(order); base += wave {
-		if base > 0 {
-			wave *= 2
-			if wave > e.workers {
-				wave = e.workers
+	for size := 1; ; size = min(2*size, e.workers) {
+		chunk := e.wave[:0]
+		for len(chunk) < size {
+			u := next()
+			if u < 0 {
+				break
 			}
+			chunk = append(chunk, u)
 		}
-		end := base + wave
-		if end > len(order) {
-			end = len(order)
-		}
-		chunk := order[base:end]
-		if len(chunk) == 1 {
+		switch len(chunk) {
+		case 0:
+			return -1
+		case 1:
 			if e.gm.HasImproving(e.g, chunk[0], e.scr[0]) {
 				return chunk[0]
 			}
 			continue
 		}
 		var wg sync.WaitGroup
-		for i := range chunk {
+		for i, u := range chunk {
 			wg.Add(1)
-			go func(i int) {
+			go func(i, u int) {
 				defer wg.Done()
-				e.probe[i] = e.gm.HasImproving(e.g, chunk[i], e.scr[i])
-			}(i)
+				e.probe[i] = e.gm.HasImproving(e.g, u, e.scr[i])
+			}(i, u)
 		}
 		wg.Wait()
 		for i := range chunk {
@@ -263,7 +264,6 @@ func (e *engine) firstUnhappy(order []int) int {
 			}
 		}
 	}
-	return -1
 }
 
 // unhappy appends every unhappy agent to dst in increasing order, probing

@@ -291,37 +291,48 @@ func TestLandmarkRunFoldsLeafSwaps(t *testing.T) {
 // folds it into the warm memo with two single-source searches in a SUM
 // game, and spends none in a MAX game, whose next cost read reruns the
 // pass on a folded memo anyway (the landmark repair searches through
-// PartialBFS and BatchBFS only). Costs read after the commit are exact in
-// both.
+// PartialBFS and BatchBFS only). When a probe and a best-move scan of the
+// mover came first, the SUM fold reads the dropped neighbour's row from
+// the scans' kept preparation and searches only the new neighbour's. Costs
+// read after the commit are exact in every case.
 func TestLandmarkFoldOnlyInSumGames(t *testing.T) {
 	for _, kind := range []game.DistKind{game.Sum, game.Max} {
-		g := &passCounter{Store: mustSparse(64, 8, 1)}
-		gm := game.NewSwap(kind)
-		r := &Runner{}
-		r.eng.reset(r, g, gm, 1, OracleSpec{Mode: OracleLandmark, K: 4})
-		e := &r.eng
-		u := 0
-		for g.Degree(u) != 1 {
-			u++
-		}
-		v := g.NeighborList(u, nil)[0]
-		w := 0
-		for w == u || w == v {
-			w++
-		}
-		e.cost(0)
-		before := g.searches
-		e.commit(game.Move{Agent: u, Drop: []int{v}, Add: []int{w}})
-		want := 0
-		if kind == game.Sum {
-			want = 2
-		}
-		if got := g.searches - before; got != want {
-			t.Fatalf("%v: commit ran %d single-source searches, want %d", kind, got, want)
-		}
-		for x := 0; x < g.N(); x++ {
-			if got, want := e.cost(x), gm.Cost(g, x, game.NewScratch(g.N())); got != want {
-				t.Fatalf("%v: cost of %d after the commit = %v, want %v", kind, x, got, want)
+		for _, scanned := range []bool{false, true} {
+			g := &passCounter{Store: mustSparse(64, 8, 1)}
+			gm := game.NewSwap(kind)
+			r := &Runner{}
+			r.eng.reset(r, g, gm, 1, OracleSpec{Mode: OracleLandmark, K: 4})
+			e := &r.eng
+			u := 0
+			for g.Degree(u) != 1 {
+				u++
+			}
+			v := g.NeighborList(u, nil)[0]
+			w := 0
+			for w == u || w == v {
+				w++
+			}
+			e.cost(0)
+			if scanned {
+				gm.HasImproving(g, u, e.scratch())
+				gm.BestMoves(g, u, e.scratch(), nil)
+			}
+			before := g.searches
+			e.commit(game.Move{Agent: u, Drop: []int{v}, Add: []int{w}})
+			want := 0
+			if kind == game.Sum {
+				want = 2
+				if scanned {
+					want = 1
+				}
+			}
+			if got := g.searches - before; got != want {
+				t.Fatalf("%v scanned=%v: commit ran %d single-source searches, want %d", kind, scanned, got, want)
+			}
+			for x := 0; x < g.N(); x++ {
+				if got, want := e.cost(x), gm.Cost(g, x, game.NewScratch(g.N())); got != want {
+					t.Fatalf("%v scanned=%v: cost of %d after the commit = %v, want %v", kind, scanned, x, got, want)
+				}
 			}
 		}
 	}

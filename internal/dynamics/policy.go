@@ -7,7 +7,6 @@
 package dynamics
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 
@@ -38,55 +37,19 @@ type enginePolicy interface {
 // MaxCost is the max cost policy: agents are examined in order of
 // descending current cost and the first unhappy one moves. Ties between
 // equal-cost agents are broken uniformly at random, matching the
-// experimental setup of Section 3.4.1.
+// experimental setup of Section 3.4.1: before any probe, one Int63 tie key
+// is drawn per agent, in index order (none when r is nil), and equal costs
+// go to the larger key, then to the smaller index. The order is popped
+// lazily (see costOrder), so a step pays for sorting only the agents it
+// probes.
 type MaxCost struct{}
 
 func (MaxCost) Name() string { return "max cost" }
 
-// costedAgent pairs an agent with its cost and random tie key for the max
-// cost orderings.
-type costedAgent struct {
-	u    int
-	c    game.Cost
-	tieR int64
-}
-
-// maxCostOrder returns the agents sorted by descending cost with random
-// tie order (n Int63 draws, one per agent, in index order). agents and ord,
-// when non-nil with capacity n, back the computation without allocating —
-// the engine path passes its per-run buffers.
-func maxCostOrder(n int, cost func(u int) game.Cost, alpha game.Alpha, r *rand.Rand, agents []costedAgent, ord []int) []int {
-	if cap(agents) < n {
-		agents = make([]costedAgent, n)
-	}
-	agents = agents[:n]
-	for u := 0; u < n; u++ {
-		agents[u] = costedAgent{u: u, c: cost(u)}
-		if r != nil {
-			agents[u].tieR = r.Int63()
-		}
-	}
-	// Descending cost, then descending tie key; the stable sort keeps
-	// index order among equal keys (all ties when r is nil).
-	slices.SortStableFunc(agents, func(a, b costedAgent) int {
-		if c := b.c.Cmp(a.c, alpha); c != 0 {
-			return c
-		}
-		return cmp.Compare(b.tieR, a.tieR)
-	})
-	if cap(ord) < n {
-		ord = make([]int, n)
-	}
-	order := ord[:n]
-	for i, a := range agents {
-		order[i] = a.u
-	}
-	return order
-}
-
 func (MaxCost) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
-	order := maxCostOrder(g.N(), func(u int) game.Cost { return gm.Cost(g, u, s) }, gm.Alpha(), r, nil, nil)
-	for _, u := range order {
+	var o costOrder
+	o.reset(g.N(), func(u int) game.Cost { return gm.Cost(g, u, s) }, gm.Alpha(), r)
+	for u := o.pop(); u >= 0; u = o.pop() {
 		if gm.HasImproving(g, u, s) {
 			return u
 		}
@@ -95,69 +58,110 @@ func (MaxCost) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) 
 }
 
 func (MaxCost) pickEngine(e *engine, r *rand.Rand) int {
-	n := e.g.N()
-	if cap(e.agents) < n {
-		e.agents = make([]costedAgent, n)
-	}
-	if cap(e.ord) < n {
-		e.ord = make([]int, n)
-	}
-	order := maxCostOrder(n, e.cost, e.gm.Alpha(), r, e.agents[:n], e.ord[:n])
-	return e.firstUnhappy(order)
+	e.order.reset(e.g.N(), e.cost, e.gm.Alpha(), r)
+	return e.firstUnhappy(e.order.pop)
 }
 
 // MaxCostDeterministic is the max cost policy with deterministic
 // tie-breaking: among maximum-cost agents the one with the smallest index
 // moves. This is the rule used in the lower-bound trace of Theorem 2.11 and
-// Figure 1.
+// Figure 1. It is MaxCost without tie keys, and draws nothing from r.
 type MaxCostDeterministic struct{}
 
 func (MaxCostDeterministic) Name() string { return "max cost (smallest index)" }
 
-// maxCostOrderDeterministic returns the agents sorted by descending cost,
-// index order on ties; costsBuf and ord optionally back the computation.
-func maxCostOrderDeterministic(n int, cost func(u int) game.Cost, alpha game.Alpha, costsBuf []game.Cost, ord []int) []int {
-	if cap(costsBuf) < n {
-		costsBuf = make([]game.Cost, n)
-	}
-	costs := costsBuf[:n]
-	if cap(ord) < n {
-		ord = make([]int, n)
-	}
-	order := ord[:n]
-	for u := 0; u < n; u++ {
-		costs[u] = cost(u)
-		order[u] = u
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		if c := costs[b].Cmp(costs[a], alpha); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return order
-}
-
 func (MaxCostDeterministic) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
-	order := maxCostOrderDeterministic(g.N(), func(u int) game.Cost { return gm.Cost(g, u, s) }, gm.Alpha(), nil, nil)
-	for _, u := range order {
-		if gm.HasImproving(g, u, s) {
-			return u
-		}
-	}
-	return -1
+	return MaxCost{}.Pick(g, gm, s, nil)
 }
 
 func (MaxCostDeterministic) pickEngine(e *engine, r *rand.Rand) int {
-	n := e.g.N()
-	if cap(e.costs) < n {
-		e.costs = make([]game.Cost, n)
+	return MaxCost{}.pickEngine(e, nil)
+}
+
+// costOrder is the max cost policies' probe order: agents by descending
+// cost, then descending tie key, then ascending index. That order is strict
+// and total, so popping a binary heap under it yields exactly the sequence
+// a stable sort by cost and key would: heapifying costs O(n) comparisons
+// and each pop O(log n), so a step whose first probe finds the mover never
+// orders the other agents, and a run that converges pops all n in
+// O(n log n). The buffers are reused across resets.
+type costOrder struct {
+	alpha game.Alpha
+	cost  []game.Cost
+	// key holds the tie keys; it is empty when ties go to the smaller
+	// index.
+	key  []int64
+	heap []int32
+}
+
+// reset reads the n agents' costs, draws their tie keys from r in index
+// order when r is non-nil, and heapifies.
+func (o *costOrder) reset(n int, cost func(u int) game.Cost, alpha game.Alpha, r *rand.Rand) {
+	o.alpha = alpha
+	o.cost = slices.Grow(o.cost[:0], n)[:n]
+	o.heap = slices.Grow(o.heap[:0], n)[:n]
+	o.key = o.key[:0]
+	if r != nil {
+		o.key = slices.Grow(o.key, n)[:n]
 	}
-	if cap(e.ord) < n {
-		e.ord = make([]int, n)
+	for u := 0; u < n; u++ {
+		o.cost[u] = cost(u)
+		if r != nil {
+			o.key[u] = r.Int63()
+		}
+		o.heap[u] = int32(u)
 	}
-	order := maxCostOrderDeterministic(n, e.cost, e.gm.Alpha(), e.costs[:n], e.ord[:n])
-	return e.firstUnhappy(order)
+	for i := n/2 - 1; i >= 0; i-- {
+		o.down(i)
+	}
+}
+
+// before reports whether agent a comes before agent b.
+func (o *costOrder) before(a, b int32) bool {
+	if c := o.cost[a].Cmp(o.cost[b], o.alpha); c != 0 {
+		return c > 0
+	}
+	if len(o.key) > 0 && o.key[a] != o.key[b] {
+		return o.key[a] > o.key[b]
+	}
+	return a < b
+}
+
+// down sifts the agent at heap position i down to its place.
+func (o *costOrder) down(i int) {
+	h := o.heap
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && o.before(h[c+1], h[c]) {
+			c++
+		}
+		if !o.before(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// pop removes and returns the next agent of the order, or -1 once every
+// agent has been popped.
+func (o *costOrder) pop() int {
+	last := len(o.heap) - 1
+	if last < 0 {
+		return -1
+	}
+	u := o.heap[0]
+	o.heap[0] = o.heap[last]
+	o.heap = o.heap[:last]
+	if last > 0 {
+		o.down(0)
+	}
+	return int(u)
 }
 
 // Random is the random policy of Section 3.4.1: one agent is chosen
@@ -209,15 +213,13 @@ func (MinIndex) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand)
 }
 
 func (MinIndex) pickEngine(e *engine, r *rand.Rand) int {
-	n := e.g.N()
-	if cap(e.ord) < n {
-		e.ord = make([]int, n)
-	}
-	order := e.ord[:n]
-	for u := range order {
-		order[u] = u
-	}
-	return e.firstUnhappy(order)
+	u, n := -1, e.g.N()
+	return e.firstUnhappy(func() int {
+		if u++; u < n {
+			return u
+		}
+		return -1
+	})
 }
 
 // Adversarial wraps a caller-supplied selection function receiving the set

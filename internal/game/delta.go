@@ -20,6 +20,12 @@ import (
 // therefore replaces the per-candidate full BFS of the naive scan. The pool
 // hands out O(n) rows on demand — deg(u) plus one per surviving target —
 // so scratch memory scales with the rows a scan actually touches, not n².
+// Everything derived from G-u alone (the rows, the minima and witness
+// buckets below, and the current-cost and per-target aggregates) outlives
+// the scan: it is kept for the next scan of the same mover on the same
+// network version, whatever the game or distance kind, so a probe, the
+// best-move scan after it and the commit's leaf fold (FoldLeafSwap) share
+// one preparation.
 //
 // Scoring is split so the per-candidate work shrinks below O(n). With
 // a(v) = 1 + min_w d_{G-u}(w, v) over the current neighbours and the
@@ -78,12 +84,19 @@ type deltaScratch struct {
 	yMax2 []int32
 	// Per-target oracle bounds (see deltaTargetBound): bndDone marks
 	// cached entries, bndExact the ones computed without an early exit.
+	// The bounds depend on the query (distance kind, limit), so every
+	// scan starts with none marked.
 	bnd      []int64
 	bndDone  graph.Bitset
 	bndExact graph.Bitset
-	// minsReady records that deltaInit ran for the current scan, so the
-	// lazy probe path can defer the neighbour searches until a target
+	// prepFor, prepVer and prepU key the kept preparation: the graph
+	// identity, its AdjVersion and the mover (the key of graph's cached
+	// G−u balls). minsReady records that deltaInit ran for that key, so
+	// the lazy probe path can defer the neighbour searches until a target
 	// survives its bound.
+	prepFor   graph.Store
+	prepVer   uint64
+	prepU     int
 	minsReady bool
 	// suspects is the damage set of oracle-seeded row repairs.
 	suspects graph.Bitset
@@ -103,6 +116,7 @@ func (d *deltaScratch) grow(n int) {
 		return
 	}
 	d.n = n
+	d.prepFor = nil
 	d.pool = d.pool[:0] // previous rows are too short for the new size
 	d.used = 0
 	d.rowTouched = d.rowTouched[:0]
@@ -129,21 +143,35 @@ func (d *deltaScratch) grow(n int) {
 	d.rowp = make([][]int32, 0, n)
 }
 
-// deltaBegin opens a delta scan of agent u: it sizes the scratch and
-// resets the per-scan lazy state. Every scan starts here; the heavy
+// deltaBegin opens a delta scan of agent u: it sizes the scratch, clears
+// the query's bounds and, unless the kept preparation is u's on g's
+// current version, drops it. Every scan starts here; the heavy
 // neighbour-row preparation of deltaInit can then be deferred until a
 // candidate actually needs it.
 func (s *Scratch) deltaBegin(g graph.Store, u int) {
 	d := &s.delta
 	d.grow(g.N())
-	d.dn = g.N()
 	d.bndDone.Reset()
+	if d.prepFor == g && d.prepVer == g.AdjVersion() && d.prepU == u {
+		return
+	}
+	d.prepFor, d.prepVer, d.prepU = g, g.AdjVersion(), u
+	d.dn = g.N()
 	d.minsReady = false
 	for _, w := range d.rowTouched {
 		d.rowIdx[w] = -1
 	}
 	d.rowTouched = d.rowTouched[:0]
 	d.used = 0
+}
+
+// preparedRow returns the d_{G-u} row of w kept from a scan of mover u on
+// g at AdjVersion ver, or nil if the scratch holds no such row.
+func (d *deltaScratch) preparedRow(g graph.Store, ver uint64, u, w int) []int32 {
+	if d.prepFor != g || d.prepVer != ver || d.prepU != u {
+		return nil
+	}
+	return d.cachedRow(w)
 }
 
 // cachedRow returns the pooled d_{G-u} row of w, or nil if the scan has not
@@ -171,8 +199,9 @@ func (d *deltaScratch) newRow(w int) []int32 {
 // distance rows of G-u for every current neighbour of u, the per-vertex
 // minima over those rows, the witness buckets, and the current-cost
 // aggregates. Target rows and aggregates are computed on demand. It is a
-// no-op if it already ran for the current scan (opened by deltaBegin).
-// The preparation reads the graph but never mutates it.
+// no-op if it already ran for the scan's key (see deltaBegin), in this
+// scan or an earlier one. The preparation reads the graph but never
+// mutates it.
 func (s *Scratch) deltaInit(g graph.Store, u int) {
 	n := g.N()
 	d := &s.delta

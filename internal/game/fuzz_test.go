@@ -124,11 +124,32 @@ func bruteQueries(ms []Move, costs []Cost, cur Cost, a Alpha) (improving, best [
 	return improving, best, costs[min]
 }
 
+// siblingGame returns gm's game under the other distance kind.
+func siblingGame(gm Game) Game {
+	kind := Sum
+	if gm.DistKind() == Sum {
+		kind = Max
+	}
+	switch g := gm.(type) {
+	case *Swap:
+		return NewSwap(kind)
+	case *AsymSwap:
+		return NewAsymSwap(kind)
+	case *GreedyBuy:
+		return NewGreedyBuy(kind, g.Alpha())
+	}
+	panic("no sibling for " + gm.Name())
+}
+
 // FuzzBestResponse requires HasImproving, ImprovingMoves and BestMoves of
 // SG, ASG and GBG, under SUM and MAX, to equal the apply-Cost-undo brute
 // force, in every scan mode: delta scans without an
 // oracle, with the exact oracle, with warmed all-sources sums (the SUM
-// leaf scores), and the naive reference scans.
+// leaf scores), and the naive reference scans. One scratch serves every
+// query, so the scans meet the delta preparation kept for their mover:
+// warm from the previous query, from a scan of the same game under the
+// other distance kind made just before, and stale after an edge away from
+// the last checked agent changes, when that agent is checked again.
 func FuzzBestResponse(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0})
 	f.Add([]byte{9, 3, 4, 1, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8})
@@ -141,6 +162,7 @@ func FuzzBestResponse(f *testing.F) {
 		g, gm := decodeBRCase(data)
 		n := g.N()
 		s := NewScratch(n)
+		sibling := siblingGame(gm)
 		modes := []struct {
 			name string
 			gm   Game
@@ -151,13 +173,12 @@ func FuzzBestResponse(f *testing.F) {
 			{"sums", gm, func() { AllCosts(g, gm, s, nil) }},
 			{"naive", Naive(gm), func() {}},
 		}
-		// Every agent on small networks, about a dozen spread over the
-		// ids on large ones, so that a run covers many networks.
-		for u := 0; u < n; u += 1 + n/12 {
+		check := func(u int) {
 			improving, best, bestCost := bruteForce(g, gm, u, s)
 			for _, m := range modes {
 				s.SetDistOracle(nil)
 				m.arm()
+				sibling.HasImproving(g, u, s)
 				if got := m.gm.HasImproving(g, u, s); got != (len(improving) > 0) {
 					t.Fatalf("%s/%s agent %d on %v: HasImproving %v, brute force %d improving moves",
 						gm.Name(), m.name, u, g, got, len(improving))
@@ -175,6 +196,25 @@ func FuzzBestResponse(f *testing.F) {
 				}
 			}
 		}
+		// Every agent on small networks, about a dozen spread over the
+		// ids on large ones, so that a run covers many networks.
+		last := 0
+		for u := 0; u < n; u += 1 + n/12 {
+			check(u)
+			last = u
+		}
+		if n < 3 {
+			return
+		}
+		// Toggle an edge away from the last checked agent, which changes
+		// its G−u, and check that agent again on the same scratch.
+		a, b := (last+1)%n, (last+2)%n
+		if g.HasEdge(a, b) {
+			g.RemoveEdge(a, b)
+		} else {
+			g.AddEdge(a, b)
+		}
+		check(last)
 	})
 }
 

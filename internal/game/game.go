@@ -119,10 +119,10 @@ func (s *Scratch) allSources(g graph.Store, kind DistKind) []graph.BFSResult {
 }
 
 // FoldLeafSwap carries the memoized all-sources aggregates across a
-// committed move mv of a leaf with two single-source searches and one O(n)
-// loop, instead of the all-sources pass the next cost read would rerun. g
-// must be the post-move network and pre its AdjVersion before mv was
-// applied. The fold applies only when s held the aggregates of that
+// committed move mv of a leaf with at most two single-source searches and
+// one O(n) loop, instead of the all-sources pass the next cost read would
+// rerun. g must be the post-move network and pre its AdjVersion before mv
+// was applied. The fold applies only when s held the aggregates of that
 // version, mv swaps the agent's one edge {u,v} for {u,w} and the network
 // is connected, and it reports whether it did; otherwise the memo stays
 // keyed to the old version and the next read reruns the pass.
@@ -130,8 +130,11 @@ func (s *Scratch) allSources(g graph.Store, kind DistKind) []graph.BFSResult {
 // A leaf lies on no shortest path between two other agents, so only
 // distances to u move: Sum'(y) = Sum(y) - d(y,v) + d(y,w) for every y != u,
 // and Sum'(u) = Σ_{y≠u} (d(w,y) + 1) = Sum'(w) + n - 2, from one BFS row
-// of v and one of w. Eccentricities are not kept (u may have been y's one
-// farthest agent), so the folded memo serves SUM reads only.
+// of v and one of w. For y != u, d(v,y) is d_{G-u}(v,y) in both networks,
+// so when s kept the delta preparation of u's scans at version pre (a
+// probe or best-move scan of u before the commit), v's row is read from
+// it and only w is searched. Eccentricities are not kept (u may have been
+// y's one farthest agent), so the folded memo serves SUM reads only.
 func (s *Scratch) FoldLeafSwap(g graph.Store, pre uint64, mv Move) bool {
 	if s.sumsFor != g || s.sumsVer != pre || len(mv.Drop) != 1 || len(mv.Add) != 1 {
 		return false
@@ -143,9 +146,13 @@ func (s *Scratch) FoldLeafSwap(g graph.Store, pre uint64, mv Move) bool {
 	if len(s.foldV) != n {
 		s.foldV, s.foldW = make([]int32, n), make([]int32, n)
 	}
-	g.BFS(mv.Drop[0], s.foldV, s.bfs)
+	rv := s.delta.preparedRow(g, pre, u, mv.Drop[0])
+	if rv == nil {
+		rv = s.foldV
+		g.BFS(mv.Drop[0], rv, s.bfs)
+	}
 	rw := g.BFS(mv.Add[0], s.foldW, s.bfs)
-	for y, dv := range s.foldV {
+	for y, dv := range rv {
 		s.sums[y].Sum += int64(s.foldW[y] - dv)
 	}
 	s.sums[u].Sum = rw.Sum + int64(n-2)

@@ -13,17 +13,16 @@ package graph
 //
 // Selection runs farthest-point sampling — each next landmark is the vertex
 // maximizing the distance to the chosen set, ties to the smaller index, so
-// selection is deterministic — and then builds all k rows with the 64-source
-// batch kernel in ⌈k/64⌉ passes. A Landmarks is not safe for concurrent
+// selection is deterministic. Each pick's one single-source kernel search
+// writes the landmark's row and aggregates in place, so the k searches of
+// the sampling are the whole build. A Landmarks is not safe for concurrent
 // mutation; concurrent reads of the rows are fine.
 type Landmarks struct {
 	// Rows holds the landmark rows; Apply repairs them and keeps the ids:
 	// repair maintains the rows of the original sample.
 	Rows
-	// selection arenas.
-	sample []int
-	minD   []int32
-	tmp    []int32
+	// minD is the sampling's distance to the chosen set.
+	minD []int32
 }
 
 // BuildLandmarks selects k landmarks on g by farthest-point sampling and
@@ -41,52 +40,54 @@ func BuildLandmarks(g Store, k int, s *BatchBFSScratch) *Landmarks {
 func (lm *Landmarks) Rebuild(g Store, k int) {
 	n := g.N()
 	k = max(1, min(k, n))
+	lm.src = lm.src[:0]
 	if n == 0 {
-		lm.search(g, nil)
+		lm.grow(0, 0)
 		return
 	}
 	if len(lm.minD) < n {
 		lm.minD = make([]int32, n)
-		lm.tmp = make([]int32, n)
 	}
-	lm.grow(n, 1)
+	lm.grow(n, k)
+	clear(lm.top)
+	minD := lm.minD[:n]
+	FillUnreachable(minD)
 	// First landmark: a maximum-degree vertex (smallest index on ties) —
 	// a deterministic, central start for the sampling.
-	l0 := 0
+	pick := 0
 	for v := 1; v < n; v++ {
-		if g.Degree(v) > g.Degree(l0) {
-			l0 = v
+		if g.Degree(v) > g.Degree(pick) {
+			pick = v
 		}
 	}
-	lm.sample = append(lm.sample[:0], l0)
 	// Farthest-point sampling: one single-source kernel search per pick,
-	// keeping only the running min-distance-to-chosen-set array. The CSR
-	// snapshot is cached across these calls (the graph does not mutate),
-	// so each pick costs one search, not one snapshot rebuild.
-	minD, tmp := lm.minD[:n], lm.tmp[:n]
-	rowp := [1][]int32{tmp}
-	g.BatchBFS(lm.sample, rowp[:], lm.res[:1], lm.batch)
-	copy(minD, tmp)
-	for len(lm.sample) < k {
-		best, bestD := -1, int64(-1)
-		for v := 0; v < n; v++ {
-			dv := int64(minD[v])
-			if dv >= int64(Unreachable) {
-				// Unreached vertices are infinitely far: sampling jumps
-				// into uncovered components first.
-				dv = int64(Unreachable) + int64(n-v)
-			}
-			if dv > bestD {
-				best, bestD = v, dv
+	// straight into the pick's row and aggregates, folded into the running
+	// min-distance-to-chosen-set array. The CSR snapshot is cached across
+	// these calls (the graph does not mutate), so each pick costs one
+	// search, not one snapshot rebuild.
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			bestD := int64(-1)
+			for v := 0; v < n; v++ {
+				dv := int64(minD[v])
+				if dv >= int64(Unreachable) {
+					// Unreached vertices are infinitely far: sampling
+					// jumps into uncovered components first.
+					dv = int64(Unreachable) + int64(n-v)
+				}
+				if dv > bestD {
+					pick, bestD = v, dv
+				}
 			}
 		}
-		lm.sample = append(lm.sample, best)
-		g.BatchBFS(lm.sample[len(lm.sample)-1:], rowp[:], lm.res[:1], lm.batch)
-		for v := 0; v < n; v++ {
-			minD[v] = min(minD[v], tmp[v])
+		lm.src = append(lm.src, pick)
+		row := lm.Row(i)
+		lm.rowp = append(lm.rowp[:0], row)
+		g.BatchBFS(lm.src[i:], lm.rowp, lm.agg[i:i+1], lm.batch)
+		for v, d := range row {
+			minD[v] = min(minD[v], d)
 		}
 	}
-	lm.search(g, lm.sample)
 }
 
 // ID returns the vertex id of landmark i.

@@ -75,19 +75,6 @@ func (r *Rows) grow(n, k int) {
 	r.n = n
 }
 
-// search makes sources the row sources and computes every row on g with
-// the batch kernel, ⌈k/64⌉ passes for k sources.
-func (r *Rows) search(g Store, sources []int) {
-	r.grow(g.N(), len(sources))
-	r.src = append(r.src[:0], sources...)
-	r.rowp = r.rowp[:0]
-	for i := range r.src {
-		r.rowp = append(r.rowp, r.Row(i))
-	}
-	g.BatchBFS(r.src, r.rowp, r.agg, r.batch)
-	clear(r.top)
-}
-
 // SearchAll makes every vertex of g a source, row v holding d(v, ·), and
 // computes the rows. par, when it holds more than one scratch, splits the
 // 64-source groups into that many shards built concurrently; shards write
