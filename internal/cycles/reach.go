@@ -89,47 +89,18 @@ func ExploreBestResponse(start *graph.Graph, gm game.Game, maxStates int) (Reach
 }
 
 // expWorker is the per-goroutine arena of the frontier expansion: a decode
-// target with an attached incremental fingerprint, game scratch, a
-// per-state distance oracle, encode and decode buffers, and the fresh
-// states found this level.
+// target with an attached incremental fingerprint, game scratch, encode
+// and decode buffers, and the fresh states found this level.
 type expWorker struct {
 	g      *graph.Graph
 	fp     state.Fingerprint
 	s      *game.Scratch
-	orc    *stateOracle
 	enc    []uint64
 	dec    []uint64
 	moves  []game.Move
 	fresh  []state.Ref
 	stable bool
 }
-
-// stateOracle serves exact all-pairs distances of the worker's current
-// state, rebuilt once per expanded state with the batched bit-parallel BFS
-// kernel (64 sources per pass). Installed as the scratch's game.DistOracle
-// it lets the delta scans score additions searchlessly and prune hopeless
-// swap targets — the same acceleration the dynamics engine's incremental
-// cache provides during process runs.
-type stateOracle struct {
-	n     int
-	d     []int32
-	res   []graph.BFSResult
-	batch *graph.BatchBFSScratch
-}
-
-func newStateOracle(n int) *stateOracle {
-	return &stateOracle{
-		n:     n,
-		d:     make([]int32, n*n),
-		res:   make([]graph.BFSResult, n),
-		batch: graph.NewBatchBFSScratch(n),
-	}
-}
-
-func (o *stateOracle) build(g *graph.Graph) { g.AllSourcesBFSFlat(o.d, o.res, o.batch) }
-
-// Row implements game.DistOracle.
-func (o *stateOracle) Row(v int) []int32 { return o.d[v*o.n : (v+1)*o.n] }
 
 // Explore runs the exhaustive reachability analysis as a level-synchronous
 // parallel frontier expansion over an interned state store: every distinct
@@ -152,7 +123,6 @@ func Explore(start *graph.Graph, gm game.Game, opt ExploreOptions) (ReachResult,
 		// runner makes).
 		gm = game.Naive(gm)
 	}
-	useOracle := !game.IsNaive(gm)
 	tables := state.NewTables(n)
 	shards := 1
 	if workers > 1 {
@@ -164,10 +134,6 @@ func Explore(start *graph.Graph, gm game.Game, opt ExploreOptions) (ReachResult,
 	for i := range ws {
 		ws[i] = &expWorker{g: graph.New(n), s: game.NewScratch(n)}
 		ws[i].fp.Attach(tables, ws[i].g)
-		if useOracle {
-			ws[i].orc = newStateOracle(n)
-			ws[i].s.SetDistOracle(ws[i].orc)
-		}
 	}
 
 	// Intern the start state. Like the states the store hands back, the
@@ -186,12 +152,6 @@ func Explore(start *graph.Graph, gm game.Game, opt ExploreOptions) (ReachResult,
 		w.dec = dec
 		store.LoadEncoding(w.g, dec)
 		w.fp.ForceHash(owned, h)
-		if w.orc != nil {
-			// One batched all-sources pass gives the scans exact distances
-			// of this state; moves applied below are interned, never
-			// scanned, so the oracle stays valid for the whole expansion.
-			w.orc.build(w.g)
-		}
 		stable := true
 		for u := 0; u < n; u++ {
 			if opt.BestResponse {

@@ -10,14 +10,17 @@ import (
 // strategy space: is the agent unhappy (HasImproving), which moves attain
 // the agent's best improving cost (BestMoves), and — for the
 // weak-acyclicity results — which moves improve at all (ImprovingMoves).
-// Every production strategy space answers all three with one enumerator:
-// a scan that opens a fold with the mover's current cost and offers it
-// every candidate (cost, move) pair in a fixed order. The fold owns
-// everything the three queries do differently: which offered moves are
-// kept, the pool copy of a kept move, the early exit of a probe, and the
-// threshold below which a candidate's lower bound must stay for the
-// candidate to be worth scoring. The naive reference scans (naive.go)
-// deliberately keep their own query bodies.
+// Every production scan answers all three with one enumerator per strategy
+// space and scoring path: a scan that opens a fold with the mover's
+// current cost and offers it every candidate (cost, move) pair in a fixed
+// order. The fold owns everything the three queries do differently: which
+// offered moves are kept, the pool copy of a kept move, the early exit of
+// a probe, and the threshold below which a candidate's lower bound must
+// stay for the candidate to be worth scoring. The swap games and the GBG
+// have two scoring paths: the delta-scored scan, and the naive scan of
+// naive.go, which scores each candidate by a search of the edited network
+// and runs on small dense networks (see PreferNaiveScan). Both offer the
+// same candidates in the same order.
 
 // query is the question a fold answers.
 type query int

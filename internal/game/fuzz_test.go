@@ -1,6 +1,7 @@
 package game
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -143,13 +144,16 @@ func siblingGame(gm Game) Game {
 
 // FuzzBestResponse requires HasImproving, ImprovingMoves and BestMoves of
 // SG, ASG and GBG, under SUM and MAX, to equal the apply-Cost-undo brute
-// force, in every scan mode: delta scans without an
-// oracle, with the exact oracle, with warmed all-sources sums (the SUM
-// leaf scores), and the naive reference scans. One scratch serves every
-// query, so the scans meet the delta preparation kept for their mover:
-// warm from the previous query, from a scan of the same game under the
-// other distance kind made just before, and stale after an edge away from
-// the last checked agent changes, when that agent is checked again.
+// force, in every scan mode: delta scans without an oracle, with the exact
+// oracle, with warmed all-sources sums (the SUM leaf scores), with k
+// landmarks (k = 1..10 from byte 2), and the naive scans; every mode runs
+// on the dense network and on its CSR copy (graph.NewSparseFrom), the
+// brute force on the dense one. One scratch serves every query, so the
+// scans meet the delta preparation kept for their mover: warm from the
+// previous query, from a scan of the same game under the other distance
+// kind made just before, from the other backend, and stale after an edge
+// away from the last checked agent changes, when that agent is checked
+// again.
 func FuzzBestResponse(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 0})
 	f.Add([]byte{9, 3, 4, 1, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8})
@@ -158,41 +162,55 @@ func FuzzBestResponse(f *testing.F) {
 	f.Add([]byte{64, 2, 7, 6, 1, 64, 63, 2})
 	f.Add([]byte{65, 4, 20, 8, 64, 0, 3, 65})
 	f.Add([]byte{65, 5, 2, 9, 0, 64, 64, 1, 2, 3})
+	f.Add([]byte{66})
+	f.Add([]byte{40, 1, 250, 0, 3, 17})
+	f.Add([]byte{30, 3, 120, 2, 5, 9, 9, 21})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, gm := decodeBRCase(data)
+		sp := graph.NewSparseFrom(g)
+		k := 1
+		if len(data) > 2 {
+			k += int(data[2]) / 27
+		}
 		n := g.N()
 		s := NewScratch(n)
 		sibling := siblingGame(gm)
-		modes := []struct {
+		type mode struct {
 			name string
 			gm   Game
-			arm  func()
-		}{
-			{"delta", gm, func() {}},
-			{"oracle", gm, func() { s.SetDistOracle(newTestOracle(g)) }},
-			{"sums", gm, func() { AllCosts(g, gm, s, nil) }},
-			{"naive", Naive(gm), func() {}},
+			arm  func(st graph.Store)
+		}
+		modes := []mode{
+			{"delta", gm, func(graph.Store) {}},
+			{"oracle", gm, func(graph.Store) { s.SetDistOracle(newTestOracle(g)) }},
+			{"sums", gm, func(st graph.Store) { AllCosts(st, gm, s, nil) }},
+			{"landmark", gm, func(st graph.Store) { s.SetLandmarks(graph.BuildLandmarks(st, k, nil)) }},
+			{"naive", Naive(gm), func(graph.Store) {}},
 		}
 		check := func(u int) {
 			improving, best, bestCost := bruteForce(g, gm, u, s)
-			for _, m := range modes {
-				s.SetDistOracle(nil)
-				m.arm()
-				sibling.HasImproving(g, u, s)
-				if got := m.gm.HasImproving(g, u, s); got != (len(improving) > 0) {
-					t.Fatalf("%s/%s agent %d on %v: HasImproving %v, brute force %d improving moves",
-						gm.Name(), m.name, u, g, got, len(improving))
-				}
-				m.arm()
-				if got := m.gm.ImprovingMoves(g, u, s, nil); !movesEqual(got, improving) {
-					t.Fatalf("%s/%s agent %d on %v: ImprovingMoves %v, brute force %v",
-						gm.Name(), m.name, u, g, got, improving)
-				}
-				m.arm()
-				got, c := m.gm.BestMoves(g, u, s, nil)
-				if c != bestCost || !movesEqual(got, best) {
-					t.Fatalf("%s/%s agent %d on %v: BestMoves %v at %v, brute force %v at %v",
-						gm.Name(), m.name, u, g, got, c, best, bestCost)
+			for _, st := range []graph.Store{g, sp} {
+				for _, m := range modes {
+					where := fmt.Sprintf("%s/%s on %T", gm.Name(), m.name, st)
+					s.SetDistOracle(nil)
+					s.SetLandmarks(nil)
+					m.arm(st)
+					sibling.HasImproving(st, u, s)
+					if got := m.gm.HasImproving(st, u, s); got != (len(improving) > 0) {
+						t.Fatalf("%s agent %d on %v: HasImproving %v, brute force %d improving moves",
+							where, u, g, got, len(improving))
+					}
+					m.arm(st)
+					if got := m.gm.ImprovingMoves(st, u, s, nil); !movesEqual(got, improving) {
+						t.Fatalf("%s agent %d on %v: ImprovingMoves %v, brute force %v",
+							where, u, g, got, improving)
+					}
+					m.arm(st)
+					got, c := m.gm.BestMoves(st, u, s, nil)
+					if c != bestCost || !movesEqual(got, best) {
+						t.Fatalf("%s agent %d on %v: BestMoves %v at %v, brute force %v at %v",
+							where, u, g, got, c, best, bestCost)
+					}
 				}
 			}
 		}
@@ -206,13 +224,16 @@ func FuzzBestResponse(f *testing.F) {
 		if n < 3 {
 			return
 		}
-		// Toggle an edge away from the last checked agent, which changes
-		// its G−u, and check that agent again on the same scratch.
+		// Toggle an edge away from the last checked agent on both copies,
+		// which changes its G−u, and check that agent again on the same
+		// scratch.
 		a, b := (last+1)%n, (last+2)%n
-		if g.HasEdge(a, b) {
-			g.RemoveEdge(a, b)
-		} else {
-			g.AddEdge(a, b)
+		for _, st := range []graph.Store{g, sp} {
+			if st.HasEdge(a, b) {
+				st.RemoveEdge(a, b)
+			} else {
+				st.AddEdge(a, b)
+			}
 		}
 		check(last)
 	})

@@ -131,9 +131,10 @@ func (s *Scratch) lmProbe(g graph.Store, u int, kind DistKind) bool {
 
 // lmArm arms the landmark filter for a scan whose deltaInit already ran:
 // the current distances are read off the neighbour minima (a_v = min1_v+1).
-// It reports whether the filter is armed.
+// It reports whether the filter is armed. A one-agent network has no
+// candidate to prune, and lmBuild's SUM windows need two agents.
 func (s *Scratch) lmArm(u int, kind DistKind) bool {
-	if !s.lmk.Complete() || s.lmk.N() != s.delta.dn {
+	if !s.lmk.Complete() || s.lmk.N() != s.delta.dn || s.delta.dn < 2 {
 		return false
 	}
 	d := &s.delta

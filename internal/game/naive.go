@@ -4,29 +4,30 @@ import (
 	"ncg/internal/graph"
 )
 
-// The naive scans enumerate every candidate strategy change and score it by
-// the mover's cost in the network it would produce (see movedCost): a
-// search of the edited network, which on one-word networks of about 20
-// agents or more is a lookup in the mover's cached G−u balls (graph.Store's
-// BFSEdited). They predate the delta evaluator of delta.go; on dense
-// networks of at most 64 agents they are the faster scans and the ones
-// production runs (see PreferNaiveScan), and elsewhere the delta scans'
-// comparison path in equivalence tests and before/after benchmarks. The
-// tests' independent truth is neither: it is the apply → Cost → undo brute
-// force of FuzzBestResponse and TestExhaustiveScansMatchBruteForce, which
+// The naive scans are the swap games' and the GBG's second candidate
+// enumerators (scanNaive), one per strategy space like the delta-scored
+// swapScan and GreedyBuy.scan, whose candidates they offer to the
+// best-response fold (fold.go) in exactly the same order. They differ in
+// the scoring alone: each candidate costs the mover's cost in the network
+// it would produce (see movedCost), a search of the edited network, which
+// on one-word networks of about 20 agents or more is a lookup in the
+// mover's cached G−u balls (graph.Store's BFSEdited). The two scorings
+// stay two enumerators, so neither branches on the other. On dense
+// networks of at most 64 agents the naive scans are the faster ones and
+// the ones production runs (see PreferNaiveScan); elsewhere they are the
+// scoring reference the delta scans are tested against. The tests'
+// independent truth is neither: it is the apply → Cost → undo brute force
+// of FuzzBestResponse and TestExhaustiveScansMatchBruteForce, which
 // applies each candidate, recomputes the mover's cost from scratch and
 // undoes the move. Like the delta scans the naive scans only read the
 // graph.
 
-// evalSwap computes u's cost after swapping the edge {u,x} to {u,y}. It
-// allocates nothing.
-func evalSwap(b *base, g graph.Store, u, x, y int, model costModel, s *Scratch) Cost {
-	return movedCost(g, u, s.oneEdit(u, x, y), b.kind, model, s)
-}
-
-// oneEdit returns the move of u that drops x (none if x < 0) and adds y
-// (none if y < 0), its lists backed by s.edit.
-func (s *Scratch) oneEdit(u, x, y int) Move {
+// offerEdited offers f u's move that drops x (none if x < 0) and adds y
+// (none if y < 0), its lists backed by s.edit, scored by one search of
+// the network it would produce (see movedCost), and reports whether the
+// enumeration goes on.
+func offerEdited(f *fold, g graph.Store, u, x, y int, kind DistKind, model costModel) bool {
+	s := f.s
 	m := Move{Agent: u}
 	s.edit = [2]int{x, y}
 	if x >= 0 {
@@ -35,195 +36,70 @@ func (s *Scratch) oneEdit(u, x, y int) Move {
 	if y >= 0 {
 		m.Add = s.edit[1:2]
 	}
-	return m
+	return f.offer(movedCost(g, u, m, kind, model, s), m.Drop, m.Add)
 }
 
-// swapAnyNaive is the full-BFS form of the swap games' HasImproving.
-func swapAnyNaive(b *base, g graph.Store, u int, drops dropFunc, s *Scratch) bool {
-	cur := agentCost(g, u, b.kind, modelSwap, s)
+// swapScanNaive is swapScan scored by the edited search: it offers f the
+// same (drop x, add y) pairs of u, drops outermost, in candidate order.
+func swapScanNaive(b *base, g graph.Store, u int, drops dropFunc, f *fold) {
+	s := f.s
+	f.begin(agentCost(g, u, b.kind, modelSwap, s))
 	s.buf = drops(g, u, s.buf[:0])
 	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
 	for _, x := range s.buf {
 		for _, y := range s.buf2 {
-			if evalSwap(b, g, u, x, y, modelSwap, s).Less(cur, b.alpha) {
-				return true
+			if !offerEdited(f, g, u, x, y, b.kind, modelSwap) {
+				return
 			}
 		}
 	}
-	return false
 }
 
-// swapScanNaive is the full-BFS form of the swap games' ImprovingMoves.
-func swapScanNaive(b *base, g graph.Store, u int, drops dropFunc, s *Scratch, dst []Move) []Move {
-	s.pool = s.pool[:0]
-	cur := agentCost(g, u, b.kind, modelSwap, s)
-	s.buf = drops(g, u, s.buf[:0])
-	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
-	for _, x := range s.buf {
-		for _, y := range s.buf2 {
-			if evalSwap(b, g, u, x, y, modelSwap, s).Less(cur, b.alpha) {
-				dst = append(dst, Move{Agent: u, Drop: s.pooled([]int{x}), Add: s.pooled([]int{y})})
-			}
-		}
-	}
-	return dst
-}
-
-// swapBestNaive is the full-BFS form of the swap games' BestMoves.
-func swapBestNaive(b *base, g graph.Store, u int, drops dropFunc, s *Scratch, dst []Move) ([]Move, Cost) {
-	s.pool = s.pool[:0]
-	cur := agentCost(g, u, b.kind, modelSwap, s)
-	best := cur
-	start := len(dst)
-	s.buf = drops(g, u, s.buf[:0])
-	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
-	for _, x := range s.buf {
-		for _, y := range s.buf2 {
-			c := evalSwap(b, g, u, x, y, modelSwap, s)
-			switch c.Cmp(best, b.alpha) {
-			case -1:
-				dst = dst[:start]
-				dst = append(dst, Move{Agent: u, Drop: s.pooled([]int{x}), Add: s.pooled([]int{y})})
-				best = c
-			case 0:
-				if best.Less(cur, b.alpha) {
-					dst = append(dst, Move{Agent: u, Drop: s.pooled([]int{x}), Add: s.pooled([]int{y})})
-				}
-			}
-		}
-	}
-	if !best.Less(cur, b.alpha) {
-		return dst[:start], cur
-	}
-	return dst, best
-}
-
-// forEachGreedyMoveNaive is the full-BFS form of GreedyBuy.scan,
-// enumerating deletions, swaps and additions in the same order.
-func (gb *GreedyBuy) forEachGreedyMoveNaive(g graph.Store, u int, s *Scratch, fn func(x, y int, c Cost) bool) {
+// scanNaive is GreedyBuy.scan scored by the edited search: it offers f the
+// same deletions, swaps and additions of u, in the same order.
+func (gb *GreedyBuy) scanNaive(g graph.Store, u int, f *fold) {
+	s := f.s
+	f.begin(agentCost(g, u, gb.kind, modelUnilateral, s))
 	s.buf = g.OwnedList(u, s.buf[:0])
 	s.buf2 = gb.swapTargets(g, u, s.buf2[:0])
 	// Deletions.
 	for _, x := range s.buf {
-		c := movedCost(g, u, s.oneEdit(u, x, -1), gb.kind, modelUnilateral, s)
-		if !fn(x, -1, c) {
+		if !offerEdited(f, g, u, x, -1, gb.kind, modelUnilateral) {
 			return
 		}
 	}
 	// Swaps.
 	for _, x := range s.buf {
 		for _, y := range s.buf2 {
-			c := evalSwap(&gb.base, g, u, x, y, modelUnilateral, s)
-			if !fn(x, y, c) {
+			if !offerEdited(f, g, u, x, y, gb.kind, modelUnilateral) {
 				return
 			}
 		}
 	}
 	// Additions.
 	for _, y := range s.buf2 {
-		c := movedCost(g, u, s.oneEdit(u, -1, y), gb.kind, modelUnilateral, s)
-		if !fn(-1, y, c) {
+		if !offerEdited(f, g, u, -1, y, gb.kind, modelUnilateral) {
 			return
 		}
 	}
 }
 
-// naiveScanner is implemented by games with a dedicated full-BFS reference
-// scan; games whose regular methods already re-evaluate every candidate
-// with a BFS (Buy, Bilateral) do not need one.
+// naiveScanner is implemented by games with an edited-search enumerator
+// next to their delta-scored one; games whose one enumerator already
+// scores every candidate by an edited search (Buy, Bilateral) have none.
 type naiveScanner interface {
-	naiveHasImproving(g graph.Store, u int, s *Scratch) bool
-	naiveBestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost)
-	naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move
+	scanNaive(g graph.Store, u int, f *fold)
 }
 
-func (sg *Swap) naiveHasImproving(g graph.Store, u int, s *Scratch) bool {
-	return swapAnyNaive(&sg.base, g, u, sg.dropCandidates, s)
+func (sg *Swap) scanNaive(g graph.Store, u int, f *fold) {
+	swapScanNaive(&sg.base, g, u, sg.dropCandidates, f)
 }
 
-func (sg *Swap) naiveBestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return swapBestNaive(&sg.base, g, u, sg.dropCandidates, s, dst)
+func (ag *AsymSwap) scanNaive(g graph.Store, u int, f *fold) {
+	swapScanNaive(&ag.base, g, u, ag.dropCandidates, f)
 }
 
-func (sg *Swap) naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return swapScanNaive(&sg.base, g, u, sg.dropCandidates, s, dst)
-}
-
-func (ag *AsymSwap) naiveHasImproving(g graph.Store, u int, s *Scratch) bool {
-	return swapAnyNaive(&ag.base, g, u, ag.dropCandidates, s)
-}
-
-func (ag *AsymSwap) naiveBestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return swapBestNaive(&ag.base, g, u, ag.dropCandidates, s, dst)
-}
-
-func (ag *AsymSwap) naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return swapScanNaive(&ag.base, g, u, ag.dropCandidates, s, dst)
-}
-
-func (gb *GreedyBuy) naiveHasImproving(g graph.Store, u int, s *Scratch) bool {
-	cur := agentCost(g, u, gb.kind, modelUnilateral, s)
-	found := false
-	gb.forEachGreedyMoveNaive(g, u, s, func(x, y int, c Cost) bool {
-		if c.Less(cur, gb.alpha) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-func (gb *GreedyBuy) naiveBestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	s.pool = s.pool[:0]
-	cur := agentCost(g, u, gb.kind, modelUnilateral, s)
-	best := cur
-	start := len(dst)
-	gb.forEachGreedyMoveNaive(g, u, s, func(x, y int, c Cost) bool {
-		switch c.Cmp(best, gb.alpha) {
-		case -1:
-			dst = dst[:start]
-			dst = append(dst, greedyMoveNaive(u, x, y, s))
-			best = c
-		case 0:
-			if best.Less(cur, gb.alpha) {
-				dst = append(dst, greedyMoveNaive(u, x, y, s))
-			}
-		}
-		return true
-	})
-	if !best.Less(cur, gb.alpha) {
-		return dst[:start], cur
-	}
-	return dst, best
-}
-
-func (gb *GreedyBuy) naiveImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	s.pool = s.pool[:0]
-	cur := agentCost(g, u, gb.kind, modelUnilateral, s)
-	gb.forEachGreedyMoveNaive(g, u, s, func(x, y int, c Cost) bool {
-		if c.Less(cur, gb.alpha) {
-			dst = append(dst, greedyMoveNaive(u, x, y, s))
-		}
-		return true
-	})
-	return dst
-}
-
-// greedyMoveNaive builds a move with pool-backed Drop/Add slices, like the
-// delta path's kept moves, so naive enumeration allocates nothing.
-func greedyMoveNaive(u, x, y int, s *Scratch) Move {
-	m := Move{Agent: u}
-	if x >= 0 {
-		m.Drop = s.pooled([]int{x})
-	}
-	if y >= 0 {
-		m.Add = s.pooled([]int{y})
-	}
-	return m
-}
-
-// naiveGame wraps a game so its scans run the full-BFS reference path.
+// naiveGame wraps a game so that its queries run its naive scan.
 type naiveGame struct {
 	Game
 }
@@ -235,7 +111,7 @@ func IsNaive(gm Game) bool {
 }
 
 // oneWordN is the largest dense network (graph.Graph) the naive scans take
-// on every game with a reference scan: up to 64 vertices an adjacency row
+// on every game with a naive scan: up to 64 vertices an adjacency row
 // is one word, so the candidates' searches run on graph's one-word path,
 // and from 20 agents on a mover's candidates are answered from its cached
 // G−u balls (see graph.Store's BFSEdited), a popcount per level instead of
@@ -284,10 +160,11 @@ func PreferNaiveScan(gm Game, g graph.Store) bool {
 	return gm.DistKind() == Max && g.M() < g.N()
 }
 
-// Naive returns gm with its best-response scans replaced by the full-BFS
-// reference implementations, for equivalence tests and before/after
-// benchmarks. Games without a dedicated reference scan (Buy, Bilateral,
-// whose regular methods already BFS every candidate) are returned as-is.
+// Naive returns gm with its best-response queries answered by its naive
+// scan, for the routed regimes of PreferNaiveScan, equivalence tests and
+// before/after benchmarks. Games without a naive scan (Buy, Bilateral,
+// whose one scan already searches every candidate's edited network) are
+// returned as-is.
 func Naive(gm Game) Game {
 	if _, ok := gm.(naiveScanner); !ok {
 		return gm
@@ -296,13 +173,13 @@ func Naive(gm Game) Game {
 }
 
 func (ng naiveGame) HasImproving(g graph.Store, u int, s *Scratch) bool {
-	return ng.Game.(naiveScanner).naiveHasImproving(g, u, s)
+	return s.probe(ng.Game.(naiveScanner).scanNaive, g, u, ng.Alpha())
 }
 
 func (ng naiveGame) BestMoves(g graph.Store, u int, s *Scratch, dst []Move) ([]Move, Cost) {
-	return ng.Game.(naiveScanner).naiveBestMoves(g, u, s, dst)
+	return s.bestMoves(ng.Game.(naiveScanner).scanNaive, g, u, ng.Alpha(), dst)
 }
 
 func (ng naiveGame) ImprovingMoves(g graph.Store, u int, s *Scratch, dst []Move) []Move {
-	return ng.Game.(naiveScanner).naiveImprovingMoves(g, u, s, dst)
+	return s.improving(ng.Game.(naiveScanner).scanNaive, g, u, ng.Alpha(), dst)
 }

@@ -278,3 +278,45 @@ func TestBestMovesAreImprovingMoves(t *testing.T) {
 		}
 	})
 }
+
+// TestEveryQueryOpensTheFold: every query of every game, bare and
+// Naive-wrapped, runs through the best-response fold, so the fold's keep
+// rule, early exit and pool copy are the only ones. Each query must leave
+// the scratch's fold naming that query and agent. SG, ASG and GBG run on
+// both sides of the one-word boundary (dense networks of at most 64
+// agents take the naive scans in production); BG and bilateral, whose
+// exhaustive scans are for small candidate sets, on a seven-agent network.
+func TestEveryQueryOpensTheFold(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	tiny, small, large := randomDeltaGraph(7, r), randomDeltaGraph(30, r), randomOwnedGraph(70, 20, r)
+	for _, gm := range foldGames() {
+		nets := []*graph.Graph{small, large}
+		switch gm.(type) {
+		case *Buy, *Bilateral:
+			nets = []*graph.Graph{tiny}
+		}
+		for _, g := range nets {
+			s := NewScratch(g.N())
+			for _, wrapped := range []Game{gm, Naive(gm)} {
+				for u := 1; u < g.N(); u += 1 + g.N()/8 {
+					queries := []struct {
+						q   query
+						ask func()
+					}{
+						{probeQuery, func() { wrapped.HasImproving(g, u, s) }},
+						{improvingQuery, func() { wrapped.ImprovingMoves(g, u, s, nil) }},
+						{bestQuery, func() { wrapped.BestMoves(g, u, s, nil) }},
+					}
+					for _, c := range queries {
+						s.fold = fold{q: -1, u: -1}
+						c.ask()
+						if s.fold.q != c.q || s.fold.u != u {
+							t.Fatalf("%s (naive %v) agent %d on n=%d: query %d left the fold at query %d, agent %d",
+								gm.Name(), IsNaive(wrapped), u, g.N(), c.q, s.fold.q, s.fold.u)
+						}
+					}
+				}
+			}
+		}
+	}
+}

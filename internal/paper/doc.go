@@ -18,4 +18,7 @@
 //	Corollary 3.6 / 4.2  host-graph non-weak-acyclicity (with errata)
 //	Theorem 5.1/5.2 bilateral equal-split BG dynamics
 //	Sections 3.4 / 4.2  empirical convergence study (internal/experiments)
+//	Section 1.1    the process moves one agent at a time; README "Dynamics
+//	               schedules": singleton rounds replay it move for move,
+//	               first-writer-wins rounds oscillate where it converges
 package paper
