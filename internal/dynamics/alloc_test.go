@@ -7,34 +7,51 @@ import (
 	"ncg/internal/gen"
 )
 
-// TestRunnerSteadyStateAllocs pins the per-step allocation count of a
-// warmed Runner: after the first run has grown every arena (scratches,
-// distance cache, move and ordering buffers), further runs on same-sized
-// networks must be allocation-flat — the regression guard for the
-// engine's arena reuse. n = 80 runs the delta scans over the distance
-// cache; n = 64, the one-word limit, runs the naive scans, whose
-// candidates come from the scratches' G−u ball arenas.
+// TestRunnerSteadyStateAllocs pins the allocation count of a warmed
+// Runner: after the first run has grown every arena (scratches, distance
+// cache, scan arenas, ordering and candidate buffers), further runs on
+// same-sized networks must be allocation-flat at one worker, under the max
+// cost and the random policy — the regression guard for the engine's
+// arena reuse. n = 80 runs the delta scans over the distance cache; n = 64,
+// the one-word limit, runs the naive scans, whose candidates come from the
+// scratches' G−u ball arenas. At Workers 3 every parallel probe wave
+// allocates its WaitGroup and goroutine closures, so that case has a
+// per-step budget instead.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
-	for _, n := range []int{64, 80} {
-		g0 := gen.BudgetNetwork(n, 3, gen.NewRand(1))
-		cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: MaxCost{}, Seed: 7}
-		r := NewRunner()
-		g := g0.Clone()
-		res := r.Run(g, cfg)
-		if !res.Converged || res.Steps == 0 {
-			t.Fatalf("n=%d warm-up run: %+v", n, res)
-		}
-		steps := res.Steps
-		perRun := testing.AllocsPerRun(5, func() {
-			g.CopyFrom(g0)
-			r.Run(g, cfg)
-		})
-		perStep := perRun / float64(steps)
-		t.Logf("n=%d steady state: %.1f allocs per run, %.3f per step (%d steps)", n, perRun, perStep, steps)
-		// The budget leaves room for incidental growth but fails on any
-		// per-step or per-trial allocation creeping back in.
-		if perRun > 8 {
-			t.Errorf("n=%d steady-state run allocates %.1f times (%.3f per step), want <= 8 per run", n, perRun, perStep)
+	cases := []struct {
+		policy  Policy
+		workers int
+		// The budget is perRun + perStep × steps: room for incidental
+		// growth, failing on any per-step or per-trial allocation
+		// creeping back in.
+		perRun, perStep float64
+	}{
+		{MaxCost{}, 1, 8, 0},
+		{Random{}, 1, 8, 0},
+		{MaxCost{}, 3, 8, 5},
+	}
+	for _, c := range cases {
+		for _, n := range []int{64, 80} {
+			g0 := gen.BudgetNetwork(n, 3, gen.NewRand(1))
+			cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: c.policy, Seed: 7, Workers: c.workers}
+			r := NewRunner()
+			g := g0.Clone()
+			res := r.Run(g, cfg)
+			if !res.Converged || res.Steps == 0 {
+				t.Fatalf("%s workers=%d n=%d warm-up run: %+v", c.policy.Name(), c.workers, n, res)
+			}
+			steps := res.Steps
+			allocs := testing.AllocsPerRun(5, func() {
+				g.CopyFrom(g0)
+				r.Run(g, cfg)
+			})
+			perStep := allocs / float64(steps)
+			t.Logf("%s workers=%d n=%d steady state: %.1f allocs per run, %.3f per step (%d steps)",
+				c.policy.Name(), c.workers, n, allocs, perStep, steps)
+			if budget := c.perRun + c.perStep*float64(steps); allocs > budget {
+				t.Errorf("%s workers=%d n=%d steady-state run allocates %.1f times (%.3f per step), want <= %v + %v per step",
+					c.policy.Name(), c.workers, n, allocs, perStep, c.perRun, c.perStep)
+			}
 		}
 	}
 }

@@ -22,9 +22,9 @@ import (
 // process step for step.
 //
 // An engine borrows its heavy state — game scratches, the distance cache,
-// batch-BFS scratches, policy ordering buffers — from the Runner that owns
-// it, so back-to-back runs on same-sized networks reuse one set of arenas
-// instead of reallocating them every trial.
+// batch-BFS scratches, policy buffers — from the Runner that owns it, so
+// back-to-back runs on same-sized networks reuse one set of arenas instead
+// of reallocating them every trial.
 type engine struct {
 	g       graph.Store
 	gm      game.Game
@@ -41,10 +41,12 @@ type engine struct {
 	// kept exact across moves by afterMove.
 	lmk   *graph.Landmarks
 	probe []bool
-	// order is the max cost policies' lazily popped cost order and wave
-	// the agents of the probe wave in flight; both keep their buffers
-	// across steps, so ordering allocates nothing per step.
+	// order is the max cost policies' lazily popped cost order, cands the
+	// random policy's candidate set and wave the agents of the probe wave
+	// in flight; all keep their buffers across steps, so neither ordering
+	// nor the candidate set allocates per step.
 	order costOrder
+	cands []int
 	wave  []int
 	// arena owns the recyclable state across runs.
 	arena *Runner
@@ -122,6 +124,13 @@ func newEngine(g graph.Store, gm game.Game, workers int) *engine {
 	return &r.eng
 }
 
+// bare returns a serial engine over the caller's scratch s with no cost
+// cache and no landmarks: its cost reads are gm.Cost and its probes
+// gm.HasImproving on s. The built-in policies' Pick runs pickEngine on it.
+func bare(g graph.Store, gm game.Game, s *game.Scratch) *engine {
+	return &engine{g: g, gm: gm, workers: 1, scr: []*game.Scratch{s}}
+}
+
 // scratch returns the primary scratch, for serial work.
 func (e *engine) scratch() *game.Scratch { return e.scr[0] }
 
@@ -178,7 +187,7 @@ func (e *engine) buildScratches() []*graph.BatchBFSScratch {
 }
 
 // commit applies a chosen move to the network and folds it into the
-// engine state; it is the one commit path of sequential and round play.
+// engine state; it is the process loop's one commit path.
 func (e *engine) commit(mv game.Move) {
 	pre := e.g.AdjVersion()
 	game.ApplyMove(e.g, mv)

@@ -25,11 +25,12 @@ type Policy interface {
 	Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int
 }
 
-// enginePolicy is implemented by the built-in policies that can exploit a
-// process engine: costs are then served from the incremental distance
-// cache and happiness probes fan out over the engine's worker pool. Both
-// accelerations are exact, so pickEngine returns the same agent as Pick
-// and consumes the RNG identically.
+// enginePolicy is implemented by every built-in policy. pickEngine picks
+// on a process engine, whose cost reads may come from the incremental
+// distance cache and whose happiness probes may fan out over a worker
+// pool; both accelerations are exact. Each built-in Pick is pickEngine on
+// a bare engine over the caller's scratch (see bare), so the two agree by
+// construction and consume the RNG identically.
 type enginePolicy interface {
 	pickEngine(e *engine, r *rand.Rand) int
 }
@@ -47,14 +48,7 @@ type MaxCost struct{}
 func (MaxCost) Name() string { return "max cost" }
 
 func (MaxCost) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
-	var o costOrder
-	o.reset(g.N(), func(u int) game.Cost { return gm.Cost(g, u, s) }, gm.Alpha(), r)
-	for u := o.pop(); u >= 0; u = o.pop() {
-		if gm.HasImproving(g, u, s) {
-			return u
-		}
-	}
-	return -1
+	return MaxCost{}.pickEngine(bare(g, gm, s), r)
 }
 
 func (MaxCost) pickEngine(e *engine, r *rand.Rand) int {
@@ -169,26 +163,33 @@ func (o *costOrder) pop() int {
 // set and another is drawn, until an unhappy agent is found or no candidate
 // remains.
 //
-// Random has no engine fast path on purpose: the number of RNG draws it
-// consumes depends on how many probes fail, so speculative parallel
-// probing would shift the RNG stream and change seeded traces.
+// Random probes serially on the engine's primary scratch at every worker
+// count: the number of RNG draws it consumes depends on how many probes
+// fail, so speculative parallel probing would shift the RNG stream and
+// change seeded traces. The candidate set lives in an engine-owned buffer.
 type Random struct{}
 
 func (Random) Name() string { return "random" }
 
 func (Random) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
-	n := g.N()
-	cands := make([]int, n)
+	return Random{}.pickEngine(bare(g, gm, s), r)
+}
+
+func (Random) pickEngine(e *engine, r *rand.Rand) int {
+	n := e.g.N()
+	cands := slices.Grow(e.cands[:0], n)[:n]
+	e.cands = cands
 	for i := range cands {
 		cands[i] = i
 	}
+	s := e.scratch()
 	for len(cands) > 0 {
 		i := 0
 		if r != nil {
 			i = r.Intn(len(cands))
 		}
 		u := cands[i]
-		if gm.HasImproving(g, u, s) {
+		if e.gm.HasImproving(e.g, u, s) {
 			return u
 		}
 		cands[i] = cands[len(cands)-1]
@@ -204,12 +205,7 @@ type MinIndex struct{}
 func (MinIndex) Name() string { return "min index" }
 
 func (MinIndex) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
-	for u := 0; u < g.N(); u++ {
-		if gm.HasImproving(g, u, s) {
-			return u
-		}
-	}
-	return -1
+	return MinIndex{}.pickEngine(bare(g, gm, s), r)
 }
 
 func (MinIndex) pickEngine(e *engine, r *rand.Rand) int {
@@ -233,16 +229,7 @@ type Adversarial struct {
 func (Adversarial) Name() string { return "adversarial" }
 
 func (a Adversarial) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
-	var unhappy []int
-	for u := 0; u < g.N(); u++ {
-		if gm.HasImproving(g, u, s) {
-			unhappy = append(unhappy, u)
-		}
-	}
-	if len(unhappy) == 0 {
-		return -1
-	}
-	return a.Choose(g, unhappy)
+	return a.pickEngine(bare(g, gm, s), r)
 }
 
 func (a Adversarial) pickEngine(e *engine, r *rand.Rand) int {
@@ -256,11 +243,5 @@ func (a Adversarial) pickEngine(e *engine, r *rand.Rand) int {
 // Unhappy returns the set of unhappy agents of g under gm (U_i of Section
 // 1.1).
 func Unhappy(g graph.Store, gm game.Game, s *game.Scratch) []int {
-	var us []int
-	for u := 0; u < g.N(); u++ {
-		if gm.HasImproving(g, u, s) {
-			us = append(us, u)
-		}
-	}
-	return us
+	return bare(g, gm, s).unhappy(nil)
 }

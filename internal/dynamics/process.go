@@ -1,8 +1,6 @@
 package dynamics
 
 import (
-	"math/rand"
-
 	"ncg/internal/game"
 	"ncg/internal/graph"
 )
@@ -134,22 +132,11 @@ func Run(g graph.Store, cfg Config) Result {
 	return NewRunner().Run(g, cfg)
 }
 
-func pickMove(moves []game.Move, tie TieBreak, r *rand.Rand) game.Move {
-	switch tie {
-	case TieFirst:
-		return moves[0]
-	case TieLast:
-		return moves[len(moves)-1]
-	default:
-		return moves[r.Intn(len(moves))]
-	}
-}
-
 // Stable reports whether g is a stable network (pure Nash equilibrium) of
 // gm: no agent has a feasible improving move. The scan runs through the
 // process engine: one batched all-pairs build serves every agent's probe
-// as a distance oracle, replacing the per-candidate searches of a bare
-// HasImproving sweep (see BenchmarkStable).
+// as a distance oracle, replacing the per-candidate searches of an
+// oracle-less HasImproving sweep (see BenchmarkStable).
 func Stable(g graph.Store, gm game.Game) bool {
 	if game.PreferNaiveScan(gm, g) {
 		gm = game.Naive(gm)
@@ -159,11 +146,5 @@ func Stable(g graph.Store, gm game.Game) bool {
 		// Building the cache installs it as the scratches' oracle.
 		e.cost(0)
 	}
-	s := e.scratch()
-	for u := 0; u < g.N(); u++ {
-		if gm.HasImproving(g, u, s) {
-			return false
-		}
-	}
-	return true
+	return MinIndex{}.pickEngine(e, nil) < 0
 }

@@ -9,14 +9,15 @@ import (
 	"ncg/internal/state"
 )
 
-// Round-based execution. Each round freezes the network, activates an
-// agent set, computes every activated agent's best response against the
-// frozen snapshot — fanned over the worker pool, since every game's scans
-// only read the graph — and commits the responses in activation order
-// under the collision policy. All randomness (policy picks, the
-// shuffle, tie-break draws) is consumed serially in deterministic order
-// between the parallel phases, so a seeded round run is bit-identical at
-// any worker count.
+// The process loop. Every schedule plays in rounds: each round freezes the
+// network, activates an agent set, computes every activated agent's best
+// response against the frozen snapshot — fanned over the worker pool,
+// since every game's scans only read the graph — and commits the responses
+// in activation order under the collision policy. Sequential play is the
+// singleton round whose one agent the Policy picks. All randomness (policy
+// picks, the shuffle, tie-break draws) is consumed serially in
+// deterministic order between the parallel phases, so a seeded run is
+// bit-identical at any worker count.
 
 // packedMove is one candidate move packed into a scanArena: offsets into
 // the arena's ints backing instead of slices, so arena growth while packing
@@ -66,7 +67,7 @@ type agentScan struct {
 	count  int32
 }
 
-// roundState is the Runner's reusable round-mode arena set.
+// roundState is the Runner's reusable arena set of the process loop.
 type roundState struct {
 	active    []int
 	scan      []*scanArena
@@ -90,9 +91,9 @@ func (rs *roundState) moveAt(i int) game.Move {
 	}
 }
 
-// runRounds executes the process under a Rounds schedule. Config defaults
-// and the naive-scan wrap were already applied by Run.
-func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
+// play executes the process under the Rounds schedule rd; Run has already
+// applied the Config defaults and the naive-scan wrap.
+func (r *Runner) play(g graph.Store, cfg Config, rd Rounds) Result {
 	rng := r.seed(cfg.Seed)
 	e := &r.eng
 	e.reset(r, g, cfg.Game, cfg.Workers, cfg.Oracle)
@@ -113,6 +114,8 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 		} else {
 			r.store.Reset(n, owned)
 		}
+		// The fingerprint rides along every mutation of the run: the
+		// moves committed below (scans never mutate the graph).
 		r.fp.Attach(r.tables, g)
 		defer g.SetObserver(nil)
 		r.steps = r.steps[:0]
@@ -127,11 +130,6 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 	}
 
 	rs := &r.round
-	if rs.pairSeen == nil {
-		rs.pairSeen = make(map[game.PairKey]struct{})
-		rs.pairCount = make(map[game.PairKey]int)
-	}
-
 	var res Result
 	res.Kinds = r.kinds[:0]
 	if detect {
@@ -146,6 +144,7 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 		// Activation. All draws here are serial on the run's RNG.
 		rs.active = rs.active[:0]
 		if rd.Active == ActivePolicy {
+			// The policy's pick moves alone: sequential play.
 			var mover int
 			if hasEngine {
 				mover = ep.pickEngine(e, rng)
@@ -249,8 +248,16 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 			rs.chosen = append(rs.chosen, pick)
 		}
 
-		switch rd.Collision {
-		case RejectRound:
+		// A lone move cannot collide with itself, so singleton rounds —
+		// sequential play among them — skip the collision bookkeeping.
+		collide := nAgents > 1
+		if collide && rs.pairSeen == nil {
+			rs.pairSeen = make(map[game.PairKey]struct{})
+			rs.pairCount = make(map[game.PairKey]int)
+		}
+		switch {
+		case !collide:
+		case rd.Collision == RejectRound:
 			clear(rs.pairSeen)
 			conflict := false
 			for i := range rs.active {
@@ -265,14 +272,14 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 				res.Skipped += nAgents
 				continue // nothing committed; the network is unchanged
 			}
-		case SkipOnConflict:
+		case rd.Collision == SkipOnConflict:
 			clear(rs.pairCount)
 			for i := range rs.active {
 				rs.moveAt(i).ForEachPair(func(k game.PairKey) {
 					rs.pairCount[k]++
 				})
 			}
-		case FirstWriterWins:
+		case rd.Collision == FirstWriterWins:
 			clear(rs.pairSeen)
 		}
 
@@ -283,8 +290,9 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 		for i := range rs.active {
 			mv := rs.moveAt(i)
 			ok := true
-			switch rd.Collision {
-			case FirstWriterWins:
+			switch {
+			case !collide:
+			case rd.Collision == FirstWriterWins:
 				mv.ForEachPair(func(k game.PairKey) {
 					if _, dup := rs.pairSeen[k]; dup {
 						ok = false
@@ -295,7 +303,7 @@ func (r *Runner) runRounds(g graph.Store, cfg Config, rd Rounds) Result {
 						rs.pairSeen[k] = struct{}{}
 					})
 				}
-			case SkipOnConflict:
+			case rd.Collision == SkipOnConflict:
 				mv.ForEachPair(func(k game.PairKey) {
 					if rs.pairCount[k] > 1 {
 						ok = false

@@ -1,7 +1,9 @@
 package dynamics
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ncg/internal/game"
@@ -47,62 +49,184 @@ func sameResult(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestRoundsSingletonMatchesSequential: rounds over the singleton
-// (policy-picked) active set reproduce the sequential process exactly —
-// same steps, same trajectory, same final network — for engine policies,
-// non-engine policies, random tie-breaking and cycle detection, at several
-// worker counts. This is the scheduler-equivalence property of the seam.
+// refRun is the sequential process in plain form, the reference the one
+// process loop is checked against: each step asks Policy.Pick on the
+// unwrapped game with the run's fresh scratch, enumerates the mover's best
+// moves, breaks the tie on the run's RNG, applies the move with
+// game.ApplyMove, and detects a cycle by comparing the state with clones
+// of the earlier ones under the game's state equality (the state's hash
+// only narrows the comparisons). It returns the result and one line per
+// step.
+func refRun(g *graph.Graph, cfg Config) (Result, []string) {
+	maxSteps := cfg.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = 200*g.N() + 1000
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	s := game.NewScratch(g.N())
+	hash, same := (*graph.Graph).HashUnowned, (*graph.Graph).EqualUnowned
+	if cfg.Game.OwnershipMatters() {
+		hash, same = (*graph.Graph).Hash, (*graph.Graph).Equal
+	}
+	type visit struct {
+		step  int
+		state *graph.Graph
+	}
+	seen := map[uint64][]visit{hash(g): {{0, g.Clone()}}}
+	var res Result
+	var steps []string
+	var moves []game.Move
+	for res.Steps < maxSteps {
+		mover := cfg.Policy.Pick(g, cfg.Game, s, rng)
+		if mover < 0 {
+			res.Converged = true
+			break
+		}
+		moves, _ = cfg.Game.BestMoves(g, mover, s, moves[:0])
+		var mv game.Move
+		switch cfg.Tie {
+		case TieFirst:
+			mv = moves[0]
+		case TieLast:
+			mv = moves[len(moves)-1]
+		default:
+			mv = moves[rng.Intn(len(moves))]
+		}
+		mv = mv.Clone()
+		game.ApplyMove(g, mv)
+		res.Steps++
+		res.MoveKinds[mv.Kind()]++
+		res.Kinds = append(res.Kinds, mv.Kind())
+		steps = append(steps, fmt.Sprintf("%d:%d:%v", res.Steps, mover, mv))
+		if !cfg.DetectCycles {
+			continue
+		}
+		h := hash(g)
+		for _, v := range seen[h] {
+			if same(g, v.state) {
+				res.Cycled = true
+				res.CycleLen = res.Steps - v.step
+				return res, steps
+			}
+		}
+		seen[h] = append(seen[h], visit{res.Steps, g.Clone()})
+	}
+	return res, steps
+}
+
+// TestRoundsSingletonMatchesSequential checks the one process loop against
+// refRun: runs under a nil schedule, an explicit Sequential{} and singleton
+// rounds (Rounds{Active: ActivePolicy}) must each reproduce the reference
+// move for move — same movers, moves, result and final network — with
+// zero Rounds reported for the two sequential forms and one round per move
+// for the rounds form. The matrix spans every built-in policy, every tie
+// rule, cycle detection on and off, Workers 1 and 4, random starts of
+// 10..23 agents (naive scans), one 72-agent start, which runs the delta
+// scans over the cost cache, and the cycling Figure 2 start.
 func TestRoundsSingletonMatchesSequential(t *testing.T) {
+	t.Parallel()
 	type gameCase struct {
 		name string
-		mk   func(n int) game.Game
+		mk   func() game.Game
 	}
 	games := []gameCase{
-		{"sum-sg", func(int) game.Game { return game.NewSwap(game.Sum) }},
-		{"max-asg", func(int) game.Game { return game.NewAsymSwap(game.Max) }},
-		{"sum-gbg", func(n int) game.Game { return game.NewGreedyBuy(game.Sum, game.NewAlpha(3, 2)) }},
+		{"sum-sg", func() game.Game { return game.NewSwap(game.Sum) }},
+		{"max-asg", func() game.Game { return game.NewAsymSwap(game.Max) }},
+		{"sum-gbg", func() game.Game { return game.NewGreedyBuy(game.Sum, game.NewAlpha(3, 2)) }},
 	}
-	policies := []Policy{MaxCost{}, Random{}}
-	ties := []TieBreak{TieRandom, TieFirst}
+	lastUnhappy := Adversarial{Choose: func(_ graph.Store, unhappy []int) int { return unhappy[len(unhappy)-1] }}
+	policies := []Policy{MaxCost{}, MaxCostDeterministic{}, Random{}, MinIndex{}, lastUnhappy}
+	ties := []TieBreak{TieRandom, TieFirst, TieLast}
+	scheds := []Scheduler{nil, Sequential{}, Rounds{Active: ActivePolicy}}
 	r := rand.New(rand.NewSource(71))
-	seq := NewRunner()
-	rnd := NewRunner()
+	type start struct {
+		g    *graph.Graph
+		seed int64
+	}
+	var small []start
+	for range 2 {
+		small = append(small, start{roundsRandomGraph(10+r.Intn(14), r.Intn(8), r), r.Int63()})
+	}
+	large := start{roundsRandomGraph(72, 6, r), r.Int63()}
+	// One runner plays every check, so each run also meets arenas left by
+	// another size, game, policy or worker count.
+	runner := NewRunner()
+	cycled := 0
+	check := func(st start, gc gameCase, pol Policy, tie TieBreak, workers int, detect bool) {
+		cfg := Config{Game: gc.mk(), Policy: pol, Tie: tie, Seed: st.seed, Workers: workers, DetectCycles: detect}
+		wantG := st.g.Clone()
+		want, wantSteps := refRun(wantG, cfg)
+		if want.Cycled {
+			cycled++
+		}
+		for _, sched := range scheds {
+			c := cfg
+			c.Game, c.Schedule = gc.mk(), sched
+			var gotSteps []string
+			c.OnStep = func(step, mover int, mv game.Move, _ graph.Store) {
+				gotSteps = append(gotSteps, fmt.Sprintf("%d:%d:%v", step, mover, mv))
+			}
+			g := st.g.Clone()
+			got := runner.Run(g, c)
+			name := "nil"
+			if sched != nil {
+				name = sched.Name()
+			}
+			label := fmt.Sprintf("n=%d %s/%s/%s workers=%d detect=%v %s", st.g.N(), gc.name, pol.Name(), tie, workers, detect, name)
+			sameResult(t, label, want, got)
+			if !slices.Equal(gotSteps, wantSteps) {
+				t.Fatalf("%s: moves %v, reference %v", label, gotSteps, wantSteps)
+			}
+			if !g.Equal(wantG) {
+				t.Fatalf("%s: final networks differ", label)
+			}
+			if _, rounds := sched.(Rounds); rounds {
+				if got.Rounds != got.Steps || got.Skipped != 0 {
+					t.Fatalf("%s: %d rounds and %d skipped moves for %d steps, want one round per move", label, got.Rounds, got.Skipped, got.Steps)
+				}
+			} else if got.Rounds != 0 || got.Skipped != 0 {
+				t.Fatalf("%s: sequential run reports %d rounds and %d skipped moves", label, got.Rounds, got.Skipped)
+			}
+		}
+	}
 	for _, gc := range games {
 		for _, pol := range policies {
-			for _, tie := range ties {
+			for ti, tie := range ties {
 				for _, workers := range []int{1, 4} {
-					for trial := 0; trial < 4; trial++ {
-						n := 10 + r.Intn(14)
-						g := roundsRandomGraph(n, r.Intn(8), r)
-						seed := r.Int63()
-						cfg := Config{
-							Game:         gc.mk(n),
-							Policy:       pol,
-							Tie:          tie,
-							Seed:         seed,
-							Workers:      workers,
-							DetectCycles: true,
-						}
-						g1 := g.Clone()
-						want := seq.Run(g1, cfg)
-						wantKinds := append([]game.MoveKind(nil), want.Kinds...)
-						want.Kinds = wantKinds
-
-						cfg.Game = gc.mk(n)
-						cfg.Schedule = Rounds{Active: ActivePolicy}
-						g2 := g.Clone()
-						got := rnd.Run(g2, cfg)
-						got.Rounds, got.Skipped = 0, 0
-
-						label := gc.name + "/" + pol.Name() + "/" + tie.String()
-						sameResult(t, label, want, got)
-						if !g1.Equal(g2) {
-							t.Fatalf("%s: final networks differ", label)
-						}
+					for i, st := range small {
+						check(st, gc, pol, tie, workers, (i+ti)%2 == 0)
 					}
 				}
 			}
 		}
+		// On the 72-agent start the max cost policies' cost reads build
+		// the cost cache, which then serves the delta scans as their
+		// oracle. MinIndex and Adversarial picks probe agent after agent
+		// without it, which takes seconds per run here, so the start
+		// plays the other three policies.
+		for i, pol := range policies[:3] {
+			for _, workers := range []int{1, 4} {
+				check(large, gc, pol, ties[i], workers, true)
+			}
+		}
+	}
+	// Every state of Figure 2's MAX-SG cycle has exactly one unhappy
+	// agent, so every policy closes the three-move cycle under TieFirst.
+	// The SG's state is its edge set: scrambled owners must not hide the
+	// repeat.
+	maxSG := gameCase{"max-sg", func() game.Game { return game.NewSwap(game.Max) }}
+	scrambled := fig2Like()
+	scrambled.SetOwner(2, 0)
+	scrambled.SetOwner(7, 1)
+	for _, g := range []*graph.Graph{fig2Like(), scrambled} {
+		for _, pol := range policies {
+			for _, workers := range []int{1, 4} {
+				check(start{g, 1}, maxSG, pol, TieFirst, workers, true)
+			}
+		}
+	}
+	if cycled == 0 {
+		t.Fatal("no reference run cycled; the cycle-detection comparison went unchecked")
 	}
 }
 

@@ -14,9 +14,10 @@ type Scheduler interface {
 }
 
 // Sequential is the default schedule: the configured Policy activates one
-// unhappy agent per step, exactly the process the paper analyses. A nil
-// Config.Schedule selects it; runs under an explicit Sequential{} are
-// bit-identical to runs under nil.
+// unhappy agent per step, exactly the process the paper analyses. It is
+// played as the singleton round Rounds{Active: ActivePolicy}, with zero
+// Rounds reported. A nil Config.Schedule selects it; runs under an
+// explicit Sequential{} are bit-identical to runs under nil.
 type Sequential struct{}
 
 // Name implements Scheduler.
@@ -36,9 +37,9 @@ const (
 	// which move wins a collision.
 	ActiveShuffled
 	// ActivePolicy activates the single agent the configured Policy picks —
-	// a singleton round. Rounds over singleton active sets reproduce the
-	// sequential process move for move (the scheduler-equivalence
-	// property), making ActivePolicy the bridge case of the seam.
+	// a singleton round. Sequential play is this round: Runner.Run plays a
+	// nil or Sequential{} schedule as Rounds{Active: ActivePolicy}, so the
+	// two differ only in the reported Rounds count.
 	ActivePolicy
 )
 
