@@ -5,19 +5,21 @@ import (
 
 	"ncg/internal/game"
 	"ncg/internal/gen"
+	"ncg/internal/graph"
 )
 
 // TestRunnerSteadyStateAllocs pins the allocation count of a warmed
 // Runner: after the first run has grown every arena (scratches, distance
 // cache, scan arenas, ordering and candidate buffers), further runs on
 // same-sized networks must be allocation-flat at one worker, under the max
-// cost and the random policy — the regression guard for the engine's
-// arena reuse. n = 80 runs the delta scans over the distance cache; n = 64,
-// the one-word limit, runs the naive scans, whose candidates come from the
-// scratches' G−u ball arenas. At Workers 3 every parallel probe wave
-// allocates its WaitGroup and goroutine closures, so that case has a
-// per-step budget instead.
+// cost, the random and the adversarial policy — the regression guard for
+// the engine's arena reuse. n = 80 runs the delta scans over the distance
+// cache; n = 64, the one-word limit, runs the naive scans, whose
+// candidates come from the scratches' G−u ball arenas. At Workers 3 every
+// parallel probe wave allocates its WaitGroup and goroutine closures, so
+// that case has a per-step budget instead.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
+	both := []int{64, 80}
 	cases := []struct {
 		policy  Policy
 		workers int
@@ -25,13 +27,18 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 		// growth, failing on any per-step or per-trial allocation
 		// creeping back in.
 		perRun, perStep float64
+		ns              []int
 	}{
-		{MaxCost{}, 1, 8, 0},
-		{Random{}, 1, 8, 0},
-		{MaxCost{}, 3, 8, 5},
+		{MaxCost{}, 1, 8, 0, both},
+		{Random{}, 1, 8, 0, both},
+		// The adversarial policy probes every agent at every step, about
+		// 1.5 s per run at n = 80, so it runs at n = 64 only; its unhappy
+		// set does not depend on the scan regime.
+		{Adversarial{Choose: func(_ graph.Store, unhappy []int) int { return unhappy[0] }}, 1, 8, 0, []int{64}},
+		{MaxCost{}, 3, 8, 5, both},
 	}
 	for _, c := range cases {
-		for _, n := range []int{64, 80} {
+		for _, n := range c.ns {
 			g0 := gen.BudgetNetwork(n, 3, gen.NewRand(1))
 			cfg := Config{Game: game.NewAsymSwap(game.Sum), Policy: c.policy, Seed: 7, Workers: c.workers}
 			r := NewRunner()

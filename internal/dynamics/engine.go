@@ -9,8 +9,10 @@ import (
 
 // engine carries the per-run acceleration state of a process: a worker pool
 // with per-worker scratches over which happiness probes are fanned out, and
-// an all-pairs distance cache from which the cost policies read agent costs
-// instead of re-running n breadth-first searches every step. The cache is a
+// the source of agent costs that the cost policies read instead of
+// re-running n breadth-first searches every step: an all-pairs distance
+// cache, or in naive-routed and landmark-mode runs one memoized
+// all-sources pass per network version (see reset). The cache is a
 // graph.Rows over every vertex, built by the batched all-sources kernel and
 // kept exact across moves by the same Rows.Apply repair that maintains the
 // landmark oracle.
@@ -30,11 +32,10 @@ type engine struct {
 	gm      game.Game
 	workers int
 	scr     []*game.Scratch
-	// halvesOK records that the game's edge-cost term is derivable from
-	// degrees, the precondition for serving costs from the distance cache.
-	halvesOK bool
-	// sums selects landmark mode's cost reads: the primary scratch's
-	// all-sources pass, memoized per network version.
+	// sums selects the cost reads of naive-routed and landmark-mode runs:
+	// the primary scratch's all-sources pass, memoized per network
+	// version. cache is the exact distance cache of every other run whose
+	// edge-cost term is derivable from degrees, built by reset.
 	sums  bool
 	cache *graph.Rows
 	// lmk is the landmark oracle of landmark-mode runs (nil otherwise),
@@ -42,9 +43,10 @@ type engine struct {
 	lmk   *graph.Landmarks
 	probe []bool
 	// order is the max cost policies' lazily popped cost order, cands the
-	// random policy's candidate set and wave the agents of the probe wave
-	// in flight; all keep their buffers across steps, so neither ordering
-	// nor the candidate set allocates per step.
+	// random policy's candidate set or the adversarial policy's unhappy
+	// set, and wave the agents of the probe wave in flight; all keep their
+	// buffers across steps, so neither ordering nor the candidate sets
+	// allocate per step.
 	order costOrder
 	cands []int
 	wave  []int
@@ -87,7 +89,7 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	}
 	for _, s := range e.scr {
 		// A stale oracle from a previous run would serve distances of the
-		// wrong network; cost() reinstalls the cache once it is built.
+		// wrong network.
 		s.SetDistOracle(nil)
 		s.SetLandmarks(e.lmk)
 	}
@@ -95,19 +97,28 @@ func (e *engine) reset(r *Runner, g graph.Store, gm game.Game, workers int, spec
 	// the wrap marks a regime (see game.PreferNaiveScan) where cache
 	// maintenance costs more than the BFS costs it replaces. Landmark
 	// mode skips the cache too — its O(n²) matrix is exactly what the
-	// mode exists to avoid. Its cost reads come from one batched
-	// all-sources pass per network version instead, memoized in the
-	// primary scratch in O(n) memory, which also lets that scratch score
-	// SUM leaf movers without a search per target. In SUM games afterMove
-	// carries the memo across leaf swaps (game.FoldLeafSwap) as its last
-	// act, after the landmark repair has settled AdjVersion, so a run
-	// whose movers are leaves pays the pass once; any other move reruns
-	// it lazily.
-	e.halvesOK, e.sums = false, false
-	if n > 0 && !game.IsNaive(gm) {
+	// mode exists to avoid. Both read costs from one batched all-sources
+	// pass per network version instead, memoized in the primary scratch
+	// in O(n) memory (on one-word networks a word-parallel level loop),
+	// which also lets a landmark-mode scratch score SUM leaf movers
+	// without a search per target. In SUM games afterMove carries the
+	// memo across leaf swaps (game.FoldLeafSwap) as its last act, after
+	// the landmark repair has settled AdjVersion, so a run whose movers
+	// are leaves pays the pass once; any other move reruns it lazily.
+	// Every other run whose edge-cost term is derivable from degrees
+	// builds the cache here, before its first pick, and installs it as
+	// the scratches' distance oracle, so the delta scans of every policy
+	// read it, whether or not the policy reads costs.
+	e.sums = false
+	if n > 0 {
 		_, ok := game.EdgeCostHalves(gm, g, 0)
-		e.halvesOK = ok && spec.Mode != OracleLandmark
-		e.sums = ok && spec.Mode == OracleLandmark
+		e.sums = ok && (game.IsNaive(gm) || spec.Mode == OracleLandmark)
+		if ok && !e.sums {
+			e.cache = e.obtainCache()
+			for _, s := range e.scr {
+				s.SetDistOracle(e.cache)
+			}
+		}
 	}
 	if cap(e.probe) < workers {
 		e.probe = make([]bool, workers)
@@ -134,32 +145,24 @@ func bare(g graph.Store, gm game.Game, s *game.Scratch) *engine {
 // scratch returns the primary scratch, for serial work.
 func (e *engine) scratch() *game.Scratch { return e.scr[0] }
 
-// cost returns agent u's current cost, served from the distance cache when
-// the game's cost model allows it. The first call builds the cache with the
-// batched all-sources kernel — sharded over the worker pool when one is
-// configured, which is exact: shards write disjoint column blocks — and
-// installs it as the scratches' distance oracle, which lets delta scans
-// score additions searchlessly and prune hopeless swap targets. Landmark
-// mode reads the primary scratch's memoized all-sources pass instead.
+// cost returns agent u's current cost: from the distance cache when the
+// run keeps one, from the primary scratch's memoized all-sources pass in
+// naive-routed and landmark-mode runs, and otherwise from the game.
 func (e *engine) cost(u int) game.Cost {
-	if e.sums {
+	switch {
+	case e.sums:
 		return game.MemoCost(e.g, e.gm, u, e.scr[0])
-	}
-	if !e.halvesOK {
+	case e.cache == nil:
 		return e.gm.Cost(e.g, u, e.scr[0])
-	}
-	if e.cache == nil {
-		e.cache = e.obtainCache()
-		for _, s := range e.scr {
-			s.SetDistOracle(e.cache)
-		}
 	}
 	h, _ := game.EdgeCostHalves(e.gm, e.g, u)
 	return game.Cost{Halves: h, Dist: distCost(e.cache, u, e.gm.DistKind())}
 }
 
 // obtainCache recycles the arena's cache, then (re)builds it for the
-// current network.
+// current network with the batched all-sources kernel — sharded over the
+// worker pool when one is configured, which is exact: shards write
+// disjoint column blocks.
 func (e *engine) obtainCache() *graph.Rows {
 	if e.arena.cache == nil {
 		e.arena.cache = new(graph.Rows)

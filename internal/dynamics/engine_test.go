@@ -3,6 +3,7 @@ package dynamics
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ncg/internal/game"
@@ -249,6 +250,59 @@ func TestCostCacheDisconnection(t *testing.T) {
 		for _, mv := range steps {
 			e.commit(mv)
 			checkCache(t, e, g, gm, fmt.Sprintf("after %v", mv))
+		}
+	}
+}
+
+// firstPickCheck is the random policy with one check at its first pick,
+// before any probe: the engine must hold an exact distance cache of the
+// start, which reset builds and installs as every scratch's oracle.
+type firstPickCheck struct {
+	t      *testing.T
+	gm     game.Game
+	picked *bool
+}
+
+func (p firstPickCheck) Name() string { return "random" }
+
+func (p firstPickCheck) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.Rand) int {
+	return Random{}.Pick(g, gm, s, r)
+}
+
+func (p firstPickCheck) pickEngine(e *engine, r *rand.Rand) int {
+	if !*p.picked {
+		*p.picked = true
+		if e.cache == nil {
+			p.t.Fatalf("%s: no distance oracle at the first probe", p.gm.Name())
+		}
+		checkCache(p.t, e, e.g, p.gm, "at the first probe")
+	}
+	return Random{}.pickEngine(e, r)
+}
+
+// TestOracleInstalledBeforeFirstProbe: a random-policy run reads no cost,
+// yet on a 72-agent dense start (delta scans) its scans must have the
+// exact cost cache as their oracle from the first probe on, and the run
+// must play the reference's moves.
+func TestOracleInstalledBeforeFirstProbe(t *testing.T) {
+	games := []game.Game{game.NewSwap(game.Sum), game.NewGreedyBuy(game.Sum, game.NewAlpha(72, 4))}
+	for i, gm := range games {
+		start := gen.RandomConnected(72, 78, gen.NewRand(int64(5+i)))
+		cfg := Config{Game: gm, Policy: Random{}, Tie: TieFirst, Seed: 11}
+		want, wantSteps := refRun(start.Clone(), cfg)
+		picked := false
+		cfg.Policy = firstPickCheck{t, gm, &picked}
+		var steps []string
+		cfg.OnStep = func(step, mover int, mv game.Move, _ graph.Store) {
+			steps = append(steps, fmt.Sprintf("%d:%d:%v", step, mover, mv))
+		}
+		got := Run(start.Clone(), cfg)
+		if !picked || got.Steps == 0 {
+			t.Fatalf("%s: the run picked %v and made %d moves", gm.Name(), picked, got.Steps)
+		}
+		sameResult(t, gm.Name(), want, got)
+		if !slices.Equal(steps, wantSteps) {
+			t.Fatalf("%s: moves %v, reference %v", gm.Name(), steps, wantSteps)
 		}
 	}
 }

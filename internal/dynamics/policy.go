@@ -222,7 +222,9 @@ func (MinIndex) pickEngine(e *engine, r *rand.Rand) int {
 // of unhappy agents; it models the adversary of the negative results ("an
 // adversary chooses the worst possible moving agent").
 type Adversarial struct {
-	// Choose returns the moving agent given the unhappy set (non-empty).
+	// Choose returns the moving agent given the unhappy set (non-empty),
+	// in increasing order. The slice is an engine-owned buffer, valid
+	// only during the call.
 	Choose func(g graph.Store, unhappy []int) int
 }
 
@@ -233,11 +235,11 @@ func (a Adversarial) Pick(g graph.Store, gm game.Game, s *game.Scratch, r *rand.
 }
 
 func (a Adversarial) pickEngine(e *engine, r *rand.Rand) int {
-	unhappy := e.unhappy(nil)
-	if len(unhappy) == 0 {
+	e.cands = e.unhappy(e.cands[:0])
+	if len(e.cands) == 0 {
 		return -1
 	}
-	return a.Choose(e.g, unhappy)
+	return a.Choose(e.g, e.cands)
 }
 
 // Unhappy returns the set of unhappy agents of g under gm (U_i of Section

@@ -134,17 +134,13 @@ func Run(g graph.Store, cfg Config) Result {
 
 // Stable reports whether g is a stable network (pure Nash equilibrium) of
 // gm: no agent has a feasible improving move. The scan runs through the
-// process engine: one batched all-pairs build serves every agent's probe
-// as a distance oracle, replacing the per-candidate searches of an
-// oracle-less HasImproving sweep (see BenchmarkStable).
+// process engine: outside the naive-scan regimes, the all-pairs build of
+// the engine's reset serves every agent's probe as a distance oracle,
+// replacing the per-candidate searches of an oracle-less HasImproving
+// sweep (see BenchmarkStable).
 func Stable(g graph.Store, gm game.Game) bool {
 	if game.PreferNaiveScan(gm, g) {
 		gm = game.Naive(gm)
 	}
-	e := newEngine(g, gm, 1)
-	if e.halvesOK {
-		// Building the cache installs it as the scratches' oracle.
-		e.cost(0)
-	}
-	return MinIndex{}.pickEngine(e, nil) < 0
+	return MinIndex{}.pickEngine(newEngine(g, gm, 1), nil) < 0
 }

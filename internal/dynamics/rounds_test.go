@@ -199,11 +199,11 @@ func TestRoundsSingletonMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-		// On the 72-agent start the max cost policies' cost reads build
-		// the cost cache, which then serves the delta scans as their
-		// oracle. MinIndex and Adversarial picks probe agent after agent
-		// without it, which takes seconds per run here, so the start
-		// plays the other three policies.
+		// On the 72-agent start the engine builds the cost cache when it
+		// is reset, and the cache serves the delta scans as their oracle.
+		// The reference's picks run without it, and its MinIndex and
+		// Adversarial picks probe agent after agent, which takes seconds
+		// per run here, so the start plays the other three policies.
 		for i, pol := range policies[:3] {
 			for _, workers := range []int{1, 4} {
 				check(large, gc, pol, ties[i], workers, true)

@@ -74,7 +74,8 @@ func EdgeCostHalves(gm Game, g graph.Store, u int) (int64, bool) {
 // AllCosts appends every agent's current cost to dst, computing all
 // distance aggregates in one aggregate-only all-sources pass
 // (graph.Store.AllSourcesBFS: 256 sources per sweep, leaves read off their
-// parents) instead of n single-source searches. The result is identical to
+// parents; one word-parallel level loop on dense networks of at most 64
+// agents) instead of n single-source searches. The result is identical to
 // calling gm.Cost per agent; games whose edge-cost term is not derivable
 // from degrees fall back to per-agent evaluation. The pass is memoized in
 // s (see MemoCost), so it also warms s for the leaf scans of swap games.
@@ -203,9 +204,9 @@ type Scratch struct {
 	buf2   []int
 	nbrs   []int
 	set    graph.Bitset
-	// edit backs the one-element Drop and Add lists of the naive scans'
-	// candidate moves.
-	edit [2]int
+	// scored holds the naive scans' batched search results, one per
+	// target of a drop (see offerTargets).
+	scored []graph.BFSResult
 
 	// delta holds the lazily allocated state of delta-evaluated scans
 	// (see delta.go).

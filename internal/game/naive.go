@@ -1,6 +1,8 @@
 package game
 
 import (
+	"slices"
+
 	"ncg/internal/graph"
 )
 
@@ -9,48 +11,57 @@ import (
 // swapScan and GreedyBuy.scan, whose candidates they offer to the
 // best-response fold (fold.go) in exactly the same order. They differ in
 // the scoring alone: each candidate costs the mover's cost in the network
-// it would produce (see movedCost), a search of the edited network, which
-// on one-word networks of about 20 agents or more is a lookup in the
-// mover's cached G−u balls (graph.Store's BFSEdited). The two scorings
-// stay two enumerators, so neither branches on the other. On dense
-// networks of at most 64 agents the naive scans are the faster ones and
-// the ones production runs (see PreferNaiveScan); elsewhere they are the
-// scoring reference the delta scans are tested against. The tests'
+// it would produce, a search of the edited network. A drop's targets are
+// scored in one graph.Store.BFSEditedTargets call, which on one-word
+// networks of about 20 agents or more reads the union over the mover's
+// kept neighbours once from its cached G−u balls and then pays one OR and
+// one popcount per level and target; the edge-cost halves are the drop's,
+// computed once. The mover's current cost is read off the same balls. The
+// two scorings stay two enumerators, so neither branches on the other. On
+// dense networks of at most 64 agents the naive scans are the faster ones
+// and the ones production runs (see PreferNaiveScan); elsewhere they are
+// the scoring reference the delta scans are tested against. The tests'
 // independent truth is neither: it is the apply → Cost → undo brute force
 // of FuzzBestResponse and TestExhaustiveScansMatchBruteForce, which
 // applies each candidate, recomputes the mover's cost from scratch and
 // undoes the move. Like the delta scans the naive scans only read the
 // graph.
 
-// offerEdited offers f u's move that drops x (none if x < 0) and adds y
-// (none if y < 0), its lists backed by s.edit, scored by one search of
-// the network it would produce (see movedCost), and reports whether the
+// offerTargets scores u's moves that drop drop and add one target of
+// s.buf2 each, in one batched search, and offers them to f in target
+// order at the drop's edge-cost halves; it reports whether the
 // enumeration goes on.
-func offerEdited(f *fold, g graph.Store, u, x, y int, kind DistKind, model costModel) bool {
+func offerTargets(f *fold, g graph.Store, u int, drop []int, kind DistKind, halves int64) bool {
 	s := f.s
-	m := Move{Agent: u}
-	s.edit = [2]int{x, y}
-	if x >= 0 {
-		m.Drop = s.edit[0:1]
+	s.scored = slices.Grow(s.scored[:0], len(s.buf2))[:len(s.buf2)]
+	g.BFSEditedTargets(u, drop, s.buf2, s.scored, s.bfs)
+	n := g.N()
+	for i, r := range s.scored {
+		if !f.offer(Cost{Halves: halves, Dist: distCost(r, n, kind)}, drop, s.buf2[i:i+1]) {
+			return false
+		}
 	}
-	if y >= 0 {
-		m.Add = s.edit[1:2]
-	}
-	return f.offer(movedCost(g, u, m, kind, model, s), m.Drop, m.Add)
+	return true
+}
+
+// currentCost is u's current cost at the given edge-cost halves, from the
+// search of the unedited network: on one-word networks of 20 or more
+// agents it is read off the G−u balls that the scan's candidates are then
+// scored from.
+func currentCost(g graph.Store, u int, kind DistKind, halves int64, s *Scratch) Cost {
+	return Cost{Halves: halves, Dist: distCost(g.BFSEdited(u, u, nil, nil, nil, s.bfs), g.N(), kind)}
 }
 
 // swapScanNaive is swapScan scored by the edited search: it offers f the
 // same (drop x, add y) pairs of u, drops outermost, in candidate order.
 func swapScanNaive(b *base, g graph.Store, u int, drops dropFunc, f *fold) {
 	s := f.s
-	f.begin(agentCost(g, u, b.kind, modelSwap, s))
 	s.buf = drops(g, u, s.buf[:0])
 	s.buf2 = b.swapTargets(g, u, s.buf2[:0])
-	for _, x := range s.buf {
-		for _, y := range s.buf2 {
-			if !offerEdited(f, g, u, x, y, b.kind, modelSwap) {
-				return
-			}
+	f.begin(currentCost(g, u, b.kind, 0, s))
+	for i := range s.buf {
+		if !offerTargets(f, g, u, s.buf[i:i+1], b.kind, 0) {
+			return
 		}
 	}
 }
@@ -59,29 +70,27 @@ func swapScanNaive(b *base, g graph.Store, u int, drops dropFunc, f *fold) {
 // same deletions, swaps and additions of u, in the same order.
 func (gb *GreedyBuy) scanNaive(g graph.Store, u int, f *fold) {
 	s := f.s
-	f.begin(agentCost(g, u, gb.kind, modelUnilateral, s))
 	s.buf = g.OwnedList(u, s.buf[:0])
 	s.buf2 = gb.swapTargets(g, u, s.buf2[:0])
+	halves := 2 * int64(len(s.buf))
+	f.begin(currentCost(g, u, gb.kind, halves, s))
+	n := g.N()
 	// Deletions.
-	for _, x := range s.buf {
-		if !offerEdited(f, g, u, x, -1, gb.kind, modelUnilateral) {
+	for i := range s.buf {
+		drop := s.buf[i : i+1]
+		r := g.BFSEdited(u, u, drop, nil, nil, s.bfs)
+		if !f.offer(Cost{Halves: halves - 2, Dist: distCost(r, n, gb.kind)}, drop, nil) {
 			return
 		}
 	}
 	// Swaps.
-	for _, x := range s.buf {
-		for _, y := range s.buf2 {
-			if !offerEdited(f, g, u, x, y, gb.kind, modelUnilateral) {
-				return
-			}
-		}
-	}
-	// Additions.
-	for _, y := range s.buf2 {
-		if !offerEdited(f, g, u, -1, y, gb.kind, modelUnilateral) {
+	for i := range s.buf {
+		if !offerTargets(f, g, u, s.buf[i:i+1], gb.kind, halves) {
 			return
 		}
 	}
+	// Additions.
+	offerTargets(f, g, u, nil, gb.kind, halves+2)
 }
 
 // naiveScanner is implemented by games with an edited-search enumerator
@@ -114,18 +123,18 @@ func IsNaive(gm Game) bool {
 // on every game with a naive scan: up to 64 vertices an adjacency row
 // is one word, so the candidates' searches run on graph's one-word path,
 // and from 20 agents on a mover's candidates are answered from its cached
-// G−u balls (see graph.Store's BFSEdited), a popcount per level instead of
-// a search. The evaluator's row matrices, witness buckets and bound caches
-// are then constant-factor overhead. Measured on a 2-core x86-64 VM (one
-// worker, 60 trials per n, best of three), the naive scans beat the delta
-// scans on all seven figure series (Figs 7, 8, 11-14) at every n = 32,
-// 40, 48, 56 and 64, by 1.42-5.95×; without the balls they lose on
-// SUM-GBG (α = 4) at n = 32-48 and on MAX-GBG (α = 4) at n = 48-64, up
-// to 1.43× slower. CSR networks (graph.Sparse) have neither path: each
-// candidate is a queue search there, and the delta scans won on all seven
-// series at every n = 10, 16, 20, 24, 31, 32, 40, 48, 56 and 64 (naive
-// time 1.05-6.7×, 30-100 trials per n, best of three), so they never take
-// this rule.
+// G−u balls (see graph.Store's BFSEditedTargets), a popcount per level
+// instead of a search. The evaluator's row matrices, witness buckets and
+// bound caches are then constant-factor overhead. Measured on a 2-core
+// x86-64 VM (one worker, 60 trials per n, best of three), the naive scans
+// beat the delta scans on all seven figure series (Figs 7, 8, 11-14) at
+// every n = 32, 40, 48, 56 and 64, by 1.42-5.95×; without the balls they
+// lose on SUM-GBG (α = 4) at n = 32-48 and on MAX-GBG (α = 4) at
+// n = 48-64, up to 1.43× slower. CSR networks (graph.Sparse) have neither
+// path: each candidate is a queue search there, and the delta scans won on
+// all seven series at every n = 10, 16, 20, 24, 31, 32, 40, 48, 56 and 64
+// (naive time 1.05-6.7×, 30-100 trials per n, best of three), so they
+// never take this rule.
 const oneWordN = 64
 
 // PreferNaiveScan reports the regimes where the delta evaluator and the

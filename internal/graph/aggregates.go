@@ -116,6 +116,41 @@ func allSourcesOver(g Store, res []BFSResult, s *BatchBFSScratch) {
 	}
 }
 
+// allSourcesWord is AllSourcesBFS on a one-word network: every vertex's
+// ball grows level by level as in the mover's ball build (growBalls), with
+// no vertex excluded, and the vertices entering w's ball at depth d are
+// exactly those at distance d from w, so their popcount folds straight
+// into w's aggregate. No CSR snapshot, core or source group is built.
+func (g *Graph) allSourcesWord(res []BFSResult, s *BatchBFSScratch) {
+	n := g.n
+	if len(res) != n {
+		panic("graph: AllSourcesBFS res length mismatch")
+	}
+	s.grow(n)
+	cur, front, next := s.reach[:n], s.curW[:n], s.next[:n]
+	for w := range cur {
+		cur[w] = uint64(1) << uint(w)
+		front[w] = cur[w]
+		res[w] = BFSResult{Reached: 1}
+	}
+	active := ^uint64(0) >> uint(64-n)
+	for depth := int32(1); ; depth++ {
+		active = growBalls(g.word, -1, active, cur, front, next)
+		if active == 0 {
+			return
+		}
+		for a := active; a != 0; a &= a - 1 {
+			w := bits.TrailingZeros64(a)
+			c := bits.OnesCount64(next[w])
+			r := &res[w]
+			r.Reached += c
+			r.Sum += int64(depth) * int64(c)
+			r.Ecc = depth
+		}
+		front, next = next, front
+	}
+}
+
 // core strips every leaf whose neighbour has degree ≥ 2 from the CSR
 // snapshot (csr, off) of an n-vertex graph, numbers the rest in BFS order
 // (component by component, each from its smallest vertex), builds their

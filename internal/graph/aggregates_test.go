@@ -204,15 +204,42 @@ func FuzzAllSourcesAggregates(f *testing.F) {
 }
 
 // TestAllSourcesBFSAllocs: with a warm scratch the aggregate pass allocates
-// nothing on either backend.
+// nothing on either backend, nor the one-word pass of networks of at most
+// 64 vertices.
 func TestAllSourcesBFSAllocs(t *testing.T) {
 	g := shapedNetwork(300, 0, rand.New(rand.NewSource(1)))
-	for _, st := range []Store{g, NewSparseFrom(g)} {
+	small := shapedNetwork(64, 0, rand.New(rand.NewSource(2)))
+	for _, st := range []Store{g, NewSparseFrom(g), small} {
 		res := make([]BFSResult, st.N())
 		s := NewBatchBFSScratch(0)
 		st.AllSourcesBFS(res, s)
 		if a := testing.AllocsPerRun(10, func() { st.AllSourcesBFS(res, s) }); a != 0 {
-			t.Fatalf("%T: warm AllSourcesBFS allocates %.1f times per call", st, a)
+			t.Fatalf("%T n=%d: warm AllSourcesBFS allocates %.1f times per call", st, st.N(), a)
+		}
+	}
+}
+
+// BenchmarkAllSourcesOneWord compares the two aggregate passes on
+// one-word networks (random trees plus about n/2 chords): "word" is
+// AllSourcesBFS, the word-parallel level loop, and "csr" the CSR pass it
+// replaces there.
+func BenchmarkAllSourcesOneWord(b *testing.B) {
+	for _, n := range []int{10, 20, 32, 50, 64} {
+		r := lcg(int64(n))
+		g, _ := randomPair(n, n/2, &r)
+		res := make([]BFSResult, n)
+		for _, mode := range []string{"word", "csr"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
+				s := NewBatchBFSScratch(n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if mode == "word" {
+						g.AllSourcesBFS(res, s)
+					} else {
+						allSourcesOver(g, res, s)
+					}
+				}
+			})
 		}
 	}
 }

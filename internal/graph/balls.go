@@ -24,7 +24,8 @@ const ballMinN = 20
 // G−u. One word-parallel pass per (graph identity, AdjVersion, mover)
 // fills every B_w[r]; a candidate with new neighbourhood N' then costs one
 // OR and one popcount per level, the union over the neighbours u keeps
-// memoized per drop mask, instead of a search.
+// memoized per drop mask, instead of a search. BFSEditedTargets scores all
+// single-edge additions of one drop against one read of that union.
 type moverBalls struct {
 	g   *Graph
 	ver uint64
@@ -41,30 +42,31 @@ type moverBalls struct {
 	cur, front, next, acc []uint64
 	// kept[r] is u's bit ORed with B_w[r] over the neighbours w of u
 	// outside the drop mask drop; keptOK marks it valid for the key above.
-	// The scans try every target of one drop in a row, so the memo reads
-	// the kept balls once per drop rather than once per candidate. Without
-	// it, on a 2-core x86-64 VM, BenchmarkMoverScan's ball path took
-	// 1.2-1.6× the time at n = 32-64 and perfbench figures lost 4-17% of
-	// its throughput (four seed pairs, identical digests).
+	// The batched search (searchEach) reads it once for all of a drop's
+	// targets, and single searches reuse it while consecutive candidates
+	// share their drop mask. When the naive scans still scored one
+	// candidate per call, computing the union on every call took
+	// BenchmarkMoverScan's ball path 1.2-1.6× the time at n = 32-64 and
+	// cost perfbench figures 4-17% of its throughput (2-core x86-64 VM,
+	// four seed pairs, identical digests).
 	keptOK bool
 	drop   uint64
 	kept   []uint64
 }
 
-// search returns the aggregates of a search from g's mover u in the
-// network where u drops its edges to the vertices of the mask dm and adds
-// edges to add.
-func (b *moverBalls) search(g *Graph, u int, dm uint64, add []int) BFSResult {
+// keptFor returns u's kept union for the drop mask dm, building the balls
+// first when the cache holds another graph, version or mover.
+func (b *moverBalls) keptFor(g *Graph, u int, dm uint64) []uint64 {
 	if b.g != g || b.ver != g.version || b.u != u {
 		b.build(g, u)
 	}
-	n := g.n
 	kept := b.kept[:b.depth]
 	if !b.keptOK || b.drop != dm {
 		ubit := uint64(1) << uint(u)
 		for r := range kept {
 			kept[r] = ubit
 		}
+		n := g.n
 		for k := g.word[u] &^ dm; k != 0; k &= k - 1 {
 			w := bits.TrailingZeros64(k)
 			for r, x := range b.ball[w*n : w*n+len(kept)] {
@@ -73,10 +75,18 @@ func (b *moverBalls) search(g *Graph, u int, dm uint64, add []int) BFSResult {
 		}
 		b.drop, b.keptOK = dm, true
 	}
+	return kept
+}
+
+// search returns the aggregates of a search from g's mover u in the
+// network where u drops its edges to the vertices of the mask dm and adds
+// edges to add.
+func (b *moverBalls) search(g *Graph, u int, dm uint64, add []int) BFSResult {
+	kept := b.keptFor(g, u, dm)
+	n := g.n
 	// R(r+1) = kept[r] ∪ added[r], where added[r] is the union of B_y[r]
 	// over the added neighbours y (kept itself when there are none, which
-	// adds nothing); the search ends at the first level that adds no
-	// vertex.
+	// adds nothing).
 	added := kept
 	switch len(add) {
 	case 0:
@@ -91,6 +101,24 @@ func (b *moverBalls) search(g *Graph, u int, dm uint64, add []int) BFSResult {
 			}
 		}
 	}
+	return levels(kept, added)
+}
+
+// searchEach sets res[i] to search(g, u, dm, add[i:i+1]) for every i: the
+// kept union is read once for the whole list, and each target costs one
+// OR and one popcount per level.
+func (b *moverBalls) searchEach(g *Graph, u int, dm uint64, add []int, res []BFSResult) {
+	kept := b.keptFor(g, u, dm)
+	n := g.n
+	for i, y := range add {
+		res[i] = levels(kept, b.ball[y*n:y*n+len(kept)])
+	}
+}
+
+// levels returns the aggregates of a search from u whose reach within
+// r+1 hops is kept[r] | added[r]: it ends at the first level that adds no
+// vertex.
+func levels(kept, added []uint64) BFSResult {
 	res := BFSResult{}
 	prev := 1
 	for r, k := range kept {
@@ -106,9 +134,8 @@ func (b *moverBalls) search(g *Graph, u int, dm uint64, add []int) BFSResult {
 	return res
 }
 
-// build fills the balls of G−u for every vertex of g, level by level: a
-// vertex's ball grows by the frontiers of its neighbours, and only
-// neighbours whose frontier is non-empty are read.
+// build fills the balls of G−u for every vertex of g, level by level (see
+// growBalls).
 func (b *moverBalls) build(g *Graph, u int) {
 	n := g.n
 	if len(b.cur) < n {
@@ -131,31 +158,42 @@ func (b *moverBalls) build(g *Graph, u int) {
 	active := (^uint64(0) >> uint(64-n)) &^ ubit
 	depth := 1
 	for {
-		var grew uint64
-		for w, adj := range g.word {
-			if w == u {
-				continue
-			}
-			var f uint64
-			for a := adj & active; a != 0; a &= a - 1 {
-				f |= front[bits.TrailingZeros64(a)]
-			}
-			f &^= cur[w]
-			next[w] = f
-			if f != 0 {
-				cur[w] |= f
-				grew |= uint64(1) << uint(w)
-			}
-		}
-		if grew == 0 {
+		active = growBalls(g.word, u, active, cur, front, next)
+		if active == 0 {
 			break
 		}
 		for w, x := range cur {
 			b.ball[w*n+depth] = x
 		}
 		front, next = next, front
-		active = grew
 		depth++
 	}
 	b.g, b.ver, b.u, b.depth, b.keptOK = g, g.version, u, depth, false
+}
+
+// growBalls grows the ball cur[w] of every vertex w of the one-word
+// network word other than skip (none if skip < 0) by one level: a
+// vertex's ball grows by the frontiers front[a] of its neighbours a, and
+// only neighbours in active, those whose frontier is non-empty, are read.
+// next[w] receives w's new frontier. It returns the vertices whose ball
+// grew, the next level's active set. The mover's G−u balls and the
+// one-word all-sources pass both run on it.
+func growBalls(word []uint64, skip int, active uint64, cur, front, next []uint64) uint64 {
+	var grew uint64
+	for w, adj := range word {
+		if w == skip {
+			continue
+		}
+		var f uint64
+		for a := adj & active; a != 0; a &= a - 1 {
+			f |= front[bits.TrailingZeros64(a)]
+		}
+		f &^= cur[w]
+		next[w] = f
+		if f != 0 {
+			cur[w] |= f
+			grew |= uint64(1) << uint(w)
+		}
+	}
+	return grew
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 )
 
@@ -228,27 +229,35 @@ func TestBallCacheMultiEdgeEdits(t *testing.T) {
 // BenchmarkMoverScan is the scan-shaped workload of the cached mover
 // search: each op takes the next mover of a random connected network with
 // about 1.5n edges and scores all of its (drop, target) pairs. "balls"
-// runs the ball path (its build included, whatever the size gate),
-// "plain" the one-word search of every edited network, "build" only the
-// ball build. ns/candidate is the op time over the pairs.
+// runs the ball path one candidate at a time (its build included,
+// whatever the size gate), "batched" the production call, one
+// BFSEditedTargets per drop (the ball path from ballMinN on, one-word
+// searches below), "plain" the one-word search of every edited network,
+// "build" only the ball build. ns/candidate is the op time over the
+// pairs.
 func BenchmarkMoverScan(b *testing.B) {
 	for _, n := range []int{10, 16, 20, 24, 32, 50, 64} {
 		r := lcg(int64(n))
 		g, _ := randomPair(n, n/2, &r)
 		type pair struct{ drop, add []int }
 		scans := make([][]pair, n)
+		targets := make([][]int, n)
 		cands := 0
 		for u := range scans {
+			for y := 0; y < n; y++ {
+				if y != u && !g.HasEdge(u, y) {
+					targets[u] = append(targets[u], y)
+				}
+			}
 			for _, x := range g.NeighborList(u, nil) {
-				for y := 0; y < n; y++ {
-					if y != u && !g.HasEdge(u, y) {
-						scans[u] = append(scans[u], pair{[]int{x}, []int{y}})
-					}
+				for _, y := range targets[u] {
+					scans[u] = append(scans[u], pair{[]int{x}, []int{y}})
 				}
 			}
 			cands += len(scans[u])
 		}
-		for _, mode := range []string{"balls", "plain", "build"} {
+		res := make([]BFSResult, n)
+		for _, mode := range []string{"balls", "batched", "plain", "build"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
 				s := NewBFSScratch(n)
 				b.ReportAllocs()
@@ -260,6 +269,12 @@ func BenchmarkMoverScan(b *testing.B) {
 						for _, p := range scans[u] {
 							searchSink = s.balls.search(g, u, 1<<uint(p.drop[0]), p.add)
 						}
+					case "batched":
+						for x := g.word[u]; x != 0; x &= x - 1 {
+							drop := []int{bits.TrailingZeros64(x)}
+							g.BFSEditedTargets(u, drop, targets[u], res[:len(targets[u])], s)
+						}
+						searchSink = res[0]
 					case "plain":
 						for _, p := range scans[u] {
 							ed := wordEdit{u: u, row: g.word[u]&^(1<<uint(p.drop[0])) | 1<<uint(p.add[0]),

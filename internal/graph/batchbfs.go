@@ -147,10 +147,16 @@ func (g *Graph) BatchBFSExcluding(sources []int, excl int, rows [][]int32, res [
 }
 
 // AllSourcesBFS computes every vertex's BFS aggregates into res (length n)
-// in the aggregate-only pass of aggregates.go, 256 sources per sweep. It is
-// the primitive behind the memoized cost reads of landmark mode and the
-// social-cost metrics; each res[u] is identical to BFS from u.
+// in the aggregate-only pass of aggregates.go, 256 sources per sweep, or
+// on networks of at most 64 vertices in one word-parallel level loop (see
+// allSourcesWord). It is the primitive behind the memoized cost reads of
+// landmark mode and naive-routed runs and the social-cost metrics; each
+// res[u] is identical to BFS from u.
 func (g *Graph) AllSourcesBFS(res []BFSResult, s *BatchBFSScratch) {
+	if g.word != nil {
+		g.allSourcesWord(res, s)
+		return
+	}
 	allSourcesOver(g, res, s)
 }
 

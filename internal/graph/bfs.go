@@ -24,8 +24,9 @@ type BFSScratch struct {
 	// allocated on first use.
 	row  Bitset
 	mark Bitset
-	// balls caches the mover's G−u balls for BFSEdited on one-word
-	// networks (see balls.go); it is allocated on first use.
+	// balls caches the mover's G−u balls for BFSEdited and
+	// BFSEditedTargets on one-word networks (see balls.go); it is
+	// allocated on first use.
 	balls moverBalls
 }
 
@@ -85,9 +86,10 @@ func (g *Graph) BFSExcluding(src, excl int, dist []int32, s *BFSScratch) BFSResu
 // strategy — is answered from the balls of G−u cached in s: the first
 // such search of a mover on a network version builds them in one
 // word-parallel pass, and each later one costs one OR and one popcount per
-// level (see moverBalls). The cache is keyed on the graph's identity, its
-// AdjVersion and the mover, so a scratch may alternate between graphs,
-// movers and mutations of one graph.
+// level (see moverBalls); BFSEditedTargets scores all single additions of
+// one drop against one read of the kept neighbours' balls. The cache is
+// keyed on the graph's identity, its AdjVersion and the mover, so a
+// scratch may alternate between graphs, movers and mutations of one graph.
 func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult {
 	if g.word != nil {
 		var dm, am uint64
@@ -114,6 +116,39 @@ func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScrat
 		s.row.Set(y)
 	}
 	return g.bfsBits(src, -1, &edit{u: u, drop: drop, add: add}, dist, s)
+}
+
+// BFSEditedTargets scores a drop's targets in one call: it sets res[i] to
+// BFSEdited(u, u, drop, add[i:i+1], nil, s), the aggregates of a search
+// from u after u drops its edges to drop and adds one edge to add[i], for
+// every i. drop and add follow BFSEdited's contract, and res must have
+// len(add) entries. On one-word networks of ballMinN or more vertices the
+// union over u's kept neighbours is read from the cached balls once per
+// call, through the memo the single searches share, and each target costs
+// one OR and one popcount per level; below ballMinN each target is one
+// one-word search over u's edited row, built once per call. Beyond one
+// word it is a loop of BFSEdited.
+func (g *Graph) BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFSScratch) {
+	if g.word == nil {
+		for i := range add {
+			res[i] = g.BFSEdited(u, u, drop, add[i:i+1], nil, s)
+		}
+		return
+	}
+	var dm uint64
+	for _, x := range drop {
+		dm |= 1 << uint(x)
+	}
+	if g.n >= ballMinN {
+		s.balls.searchEach(g, u, dm, add, res)
+		return
+	}
+	// The search starts at u, which is visited before any other row is
+	// read, so only u's row needs the edit.
+	row := g.word[u] &^ dm
+	for i, y := range add {
+		res[i] = g.bfsWord(u, 0, wordEdit{u: u, row: row | 1<<uint(y), touched: 1 << uint(u)}, nil)
+	}
 }
 
 // bfsFrom is the shared core of BFS and BFSExcluding; excl < 0 means no

@@ -423,6 +423,14 @@ func (sp *Sparse) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScr
 	return res
 }
 
+// BFSEditedTargets sets res[i] to BFSEdited(u, u, drop, add[i:i+1], nil,
+// s) for every i; contract identical to (*Graph).BFSEditedTargets.
+func (sp *Sparse) BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFSScratch) {
+	for i := range add {
+		res[i] = sp.BFSEdited(u, u, drop, add[i:i+1], nil, s)
+	}
+}
+
 // bfsFrom is the queue-based level scan behind BFS, BFSExcluding and
 // BFSEdited. A non-nil mark holds the mover u and the other endpoints of
 // its edited edges, which expandEdited expands by their edited lists.

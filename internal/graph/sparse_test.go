@@ -135,6 +135,46 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse, bs *BFSScratch) {
 		t.Fatalf("connectivity diverged")
 	}
 
+	// The batched mover search, for every drop of a scan (one neighbour,
+	// or none as for the GBG's additions): each target's result must
+	// equal the edited search with a distance row, which never reads the
+	// balls. Every mover is checked on the one-word dense network, where
+	// the batched call reads balls or runs one-word searches; the CSR
+	// copy's call, and the dense one beyond 64 vertices, are loops of
+	// their own BFSEdited, checked at every 16th mover, which keeps the
+	// fuzz target's throughput.
+	var targets []int
+	dt, st := make([]BFSResult, n), make([]BFSResult, n)
+	for u := 0; u < n; u++ {
+		both := u%16 == 0
+		if g.word == nil && !both {
+			continue
+		}
+		targets = targets[:0]
+		for v := 0; v < n; v++ {
+			if v != u && !g.HasEdge(u, v) {
+				targets = append(targets, v)
+			}
+		}
+		drops := [][]int{nil}
+		for _, x := range g.NeighborList(u, nil) {
+			drops = append(drops, []int{x})
+		}
+		for _, drop := range drops {
+			g.BFSEditedTargets(u, drop, targets, dt[:len(targets)], bs)
+			if both {
+				sp.BFSEditedTargets(u, drop, targets, st[:len(targets)], bs)
+			}
+			for i, y := range targets {
+				want := g.BFSEdited(u, u, drop, []int{y}, dd, bs)
+				if dt[i] != want || both && st[i] != want {
+					t.Fatalf("BFSEditedTargets(u=%d, drop %v) at target %d: dense %+v, sparse %+v, edited search %+v",
+						u, drop, y, dt[i], st[i], want)
+				}
+			}
+		}
+	}
+
 	batch := NewBatchBFSScratch(n)
 	dm, sm := make([]int32, n*n), make([]int32, n*n)
 	dres, sres := make([]BFSResult, n), make([]BFSResult, n)
@@ -218,15 +258,20 @@ func applyScript(g *Graph, sp *Sparse, script []byte) {
 
 // FuzzSparseParity feeds random edit scripts into both backends and
 // requires every observable — neighbour order, ownership, BFS rows and
-// aggregates, edited searches, batch kernels, canonical encodings (the
-// bytes fingerprints and the interned state store hash) — to stay
-// bit-identical. Sizes reach past 64, so the dense backend's one-word and
-// multi-word searches are both compared with CSR.
+// aggregates, edited searches single and batched, batch kernels,
+// canonical encodings (the bytes fingerprints and the interned state
+// store hash) — to stay bit-identical. Sizes reach past 64, so the dense
+// backend's one-word and multi-word searches are both compared with CSR.
 func FuzzSparseParity(f *testing.F) {
 	f.Add(int64(1), 8, []byte{0, 1, 2, 0, 3, 4, 1, 1, 2})
 	f.Add(int64(2), 24, []byte{2, 9, 3, 0, 200, 13, 1, 9, 3, 0, 7, 7})
 	f.Add(int64(3), 1, []byte{})
 	f.Add(int64(4), 100, []byte{1, 64, 3, 0, 70, 99, 1, 65, 2})
+	// Either side of the ball gate and of the one-word limit.
+	f.Add(int64(5), 19, []byte{0, 3, 17, 1, 2, 11, 2, 5, 9, 0, 18, 4})
+	f.Add(int64(6), 20, []byte{0, 3, 17, 1, 2, 11, 2, 5, 9, 0, 19, 4})
+	f.Add(int64(7), 64, []byte{0, 63, 1, 1, 40, 20, 2, 7, 50, 0, 33, 62})
+	f.Add(int64(8), 65, []byte{0, 64, 1, 1, 40, 20, 2, 7, 50, 0, 33, 63})
 	f.Fuzz(func(t *testing.T, seed int64, n int, script []byte) {
 		if n < 1 {
 			n = 1

@@ -81,6 +81,9 @@ type Store interface {
 	// BFSEdited is BFS in the network u's strategy change (drop, add)
 	// would produce, without mutating the store; see (*Graph).BFSEdited.
 	BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult
+	// BFSEditedTargets scores u's strategy changes that drop drop and add
+	// one edge each, one result per target; see (*Graph).BFSEditedTargets.
+	BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFSScratch)
 	// PartialBFS completes a partially known distance field; see
 	// (*Graph).PartialBFS for the exact contract.
 	PartialBFS(dist []int32, suspects Bitset, s *RepairScratch)
