@@ -1,6 +1,8 @@
 package game
 
 import (
+	"math"
+
 	"ncg/internal/graph"
 )
 
@@ -131,6 +133,27 @@ func (f *fold) offer(c Cost, drop, add []int) bool {
 	}
 	f.dst = append(f.dst, Move{Agent: f.u, Drop: f.s.pooled(drop), Add: f.s.pooled(add)})
 	return true
+}
+
+// distLimit is the distance from which a candidate at the edge-cost halves
+// h cannot be kept, so that a scan may skip it with one comparison and
+// offer only the rest. A probe or an improving query keeps a cost strictly
+// below the current one, and a best query one at most the running best.
+// When h is at least that reference's halves, alpha > 0 lets only a
+// smaller distance (or, against the best, an equal one) get there; when h
+// is smaller there is no limit. The keep rule still judges every offered
+// candidate, so the kept moves, their order and a probe's early exit do
+// not change; a best query's limit falls as its best does, so it is read
+// again after each offer.
+func (f *fold) distLimit(h int64) int64 {
+	ref, limit := f.cur, f.cur.Dist
+	if f.q == bestQuery {
+		ref, limit = f.best, f.best.Dist+1
+	}
+	if h < ref.Halves {
+		return math.MaxInt64
+	}
+	return limit
 }
 
 // prunes reports whether a candidate whose cost is bounded below by lb

@@ -172,10 +172,13 @@ func (s *Scratch) warmSums(g graph.Store) []graph.BFSResult {
 }
 
 // kernel returns the scratch's batched-BFS kernel scratch, allocating it on
-// first use.
+// first use. It shares the ball store of s.bfs, so on one-word networks the
+// all-sources pass behind the cost reads and the mover searches of the
+// naive scans fill one store per network version.
 func (s *Scratch) kernel() *graph.BatchBFSScratch {
 	if s.batch == nil {
 		s.batch = graph.NewBatchBFSScratch(s.n)
+		s.batch.ShareBalls(s.bfs)
 	}
 	return s.batch
 }

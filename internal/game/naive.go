@@ -30,16 +30,24 @@ import (
 // offerTargets scores u's moves that drop drop and add one target of
 // s.buf2 each, in one batched search, and offers them to f in target
 // order at the drop's edge-cost halves; it reports whether the
-// enumeration goes on.
+// enumeration goes on. The drop's candidates share their halves, so one
+// distance limit (fold.distLimit) skips those the keep rule cannot keep
+// without a call into the fold.
 func offerTargets(f *fold, g graph.Store, u int, drop []int, kind DistKind, halves int64) bool {
 	s := f.s
 	s.scored = slices.Grow(s.scored[:0], len(s.buf2))[:len(s.buf2)]
 	g.BFSEditedTargets(u, drop, s.buf2, s.scored, s.bfs)
 	n := g.N()
+	limit := f.distLimit(halves)
 	for i, r := range s.scored {
-		if !f.offer(Cost{Halves: halves, Dist: distCost(r, n, kind)}, drop, s.buf2[i:i+1]) {
+		d := distCost(r, n, kind)
+		if d >= limit {
+			continue
+		}
+		if !f.offer(Cost{Halves: halves, Dist: d}, drop, s.buf2[i:i+1]) {
 			return false
 		}
+		limit = f.distLimit(halves)
 	}
 	return true
 }

@@ -320,3 +320,44 @@ func TestEveryQueryOpensTheFold(t *testing.T) {
 		}
 	}
 }
+
+// TestDistLimitIsSound: a candidate at or past the fold's distance limit
+// for its edge-cost halves is one the keep rule rejects, for every query,
+// halves on either side of the reference's, infinite costs and fractional
+// alphas; and when the halves equal the current cost's, a probe's limit is
+// exact, so the scans skip no keepable move.
+func TestDistLimitIsSound(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	cost := func() Cost {
+		if r.Intn(8) == 0 {
+			return Cost{Halves: int64(r.Intn(6)), Dist: DistInf}
+		}
+		return Cost{Halves: int64(r.Intn(6)), Dist: int64(r.Intn(40))}
+	}
+	for i := 0; i < 20000; i++ {
+		a := NewAlpha(1+int64(r.Intn(12)), 1+int64(r.Intn(4)))
+		q := query(r.Intn(3))
+		cur := cost()
+		best := cur
+		if q == bestQuery && r.Intn(2) == 0 {
+			best = cost()
+		}
+		h := int64(r.Intn(6))
+		f := fold{q: q, alpha: a, cur: cur, best: best, s: &Scratch{}}
+		limit := f.distLimit(h)
+		for _, d := range []int64{limit - 1, limit, limit + 1, limit + int64(r.Intn(30)), DistInf} {
+			if d < 0 {
+				continue
+			}
+			c := Cost{Halves: h, Dist: min(d, DistInf)}
+			kept := f.keeps(c)
+			f = fold{q: q, alpha: a, cur: cur, best: best, s: &Scratch{}}
+			if d >= limit && kept {
+				t.Fatalf("query %d, alpha %v, cur %v, best %v: %v sits at or past the limit %d, yet the keep rule keeps it", q, a, cur, best, c, limit)
+			}
+			if q == probeQuery && h == cur.Halves && d < limit && !kept {
+				t.Fatalf("probe, alpha %v, cur %v: %v sits below the limit %d, yet the keep rule rejects it", a, cur, c, limit)
+			}
+		}
+	}
+}

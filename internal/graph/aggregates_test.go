@@ -205,7 +205,8 @@ func FuzzAllSourcesAggregates(f *testing.F) {
 
 // TestAllSourcesBFSAllocs: with a warm scratch the aggregate pass allocates
 // nothing on either backend, nor the one-word pass of networks of at most
-// 64 vertices.
+// 64 vertices, nor the mover searches that derive their balls from the
+// store that pass fills.
 func TestAllSourcesBFSAllocs(t *testing.T) {
 	g := shapedNetwork(300, 0, rand.New(rand.NewSource(1)))
 	small := shapedNetwork(64, 0, rand.New(rand.NewSource(2)))
@@ -216,6 +217,34 @@ func TestAllSourcesBFSAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(10, func() { st.AllSourcesBFS(res, s) }); a != 0 {
 			t.Fatalf("%T n=%d: warm AllSourcesBFS allocates %.1f times per call", st, st.N(), a)
 		}
+	}
+	// A new network version per run, its one-word pass through a kernel
+	// scratch sharing the store, and the balls of every mover derived
+	// from it: movers that keep every distance, split G or reroute.
+	n := small.N()
+	res := make([]BFSResult, n)
+	bs := NewBFSScratch(n)
+	k := NewBatchBFSScratch(0)
+	k.ShareBalls(bs)
+	e := small.Edges()[0]
+	run := func() {
+		small.RemoveEdge(e.U, e.V)
+		small.AddEdge(e.U, e.V)
+		small.AllSourcesBFS(res, k)
+		for u := 0; u < n; u++ {
+			small.BFSEdited(u, u, nil, nil, nil, bs)
+		}
+	}
+	run()
+	kinds := map[int]bool{}
+	for u := 0; u < n; u++ {
+		kinds[bs.balls.split(small.word, u)] = true
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("n=%d: want movers of every kind, got %v", n, kinds)
+	}
+	if a := testing.AllocsPerRun(10, run); a != 0 {
+		t.Fatalf("n=%d: warm mover searches on a new version allocate %.1f times per run", n, a)
 	}
 }
 
@@ -234,6 +263,11 @@ func BenchmarkAllSourcesOneWord(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if mode == "word" {
+						// Forget the store, so that every op runs its
+						// pass.
+						if s.balls != nil {
+							s.balls.g = nil
+						}
 						g.AllSourcesBFS(res, s)
 					} else {
 						allSourcesOver(g, res, s)

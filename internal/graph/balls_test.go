@@ -3,15 +3,84 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"testing"
 )
 
 // The mover's aggregate-only searches on one-word networks of ballMinN or
 // more vertices come from balls of G−u cached in the scratch, keyed on the
-// graph's identity, its AdjVersion and the mover. These tests reuse one
+// graph's identity, its AdjVersion and the mover, and derived from a store
+// of G's own balls that a kernel scratch may share. These tests reuse one
 // scratch across every way the key can change — movers, mutations of one
-// graph, two graphs in turn — and require every answer to equal apply →
-// BFS → undo on a clone.
+// graph, two graphs in turn, all-sources passes over another graph — and
+// require every answer to equal apply → BFS → undo on a clone, and every
+// derived ball to equal the from-scratch build of refBalls.
+
+// refBalls is the from-scratch build of the balls of G−u: every vertex's
+// ball grows from its singleton, level by level, with u never entered. It
+// returns ball[w*n+r] = B_w[r] for r < depth (zero for w = u), every ball
+// complete at depth-1.
+func refBalls(g *Graph, u int) (ball []uint64, depth int) {
+	n := g.N()
+	ball = make([]uint64, n*n)
+	cur, front, next := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	ubit := uint64(1) << uint(u)
+	for w := range cur {
+		cur[w] = uint64(1) << uint(w) &^ ubit
+		front[w] = cur[w]
+		ball[w*n] = cur[w]
+	}
+	active := ^uint64(0) >> uint(64-n) &^ ubit
+	for depth = 1; ; depth++ {
+		var grew uint64
+		for w, adj := range g.word {
+			if w == u {
+				continue
+			}
+			var f uint64
+			for a := adj & active; a != 0; a &= a - 1 {
+				f |= front[bits.TrailingZeros64(a)]
+			}
+			f &^= cur[w]
+			next[w] = f
+			if f != 0 {
+				cur[w] |= f
+				grew |= uint64(1) << uint(w)
+			}
+		}
+		if grew == 0 {
+			return ball, depth
+		}
+		for w, x := range cur {
+			ball[w*n+depth] = x
+		}
+		active = grew
+		front, next = next, front
+	}
+}
+
+// checkMoverRows requires the balls s holds for the mover u of g, derived
+// if the cache does not hold them, to equal refBalls at every level of
+// every vertex other than u: u's bit is ignored, and a level past either
+// side's depth reads as that side's last.
+func checkMoverRows(t *testing.T, where string, g *Graph, s *BFSScratch, u int) {
+	t.Helper()
+	b := &s.balls
+	b.keptFor(g, u, 0)
+	want, wd := refBalls(g, u)
+	n, ubit := g.N(), uint64(1)<<uint(u)
+	for w := 0; w < n; w++ {
+		if w == u {
+			continue
+		}
+		for r := 0; r < max(b.depth, wd); r++ {
+			if got, exp := b.ball[w*n+min(r, b.depth-1)]&^ubit, want[w*n+min(r, wd-1)]; got != exp {
+				t.Fatalf("%s: n=%d mover %d (degree %d, split %d) vertex %d level %d: derived %#x (depth %d), from scratch %#x (depth %d) on %v",
+					where, n, u, g.Degree(u), b.split(g.word, u), w, r, got, b.depth, exp, wd, g)
+			}
+		}
+	}
+}
 
 // checkMover compares the cached mover search of (u, drop, add) on g,
 // through s, with BFS on a clone of g that has the edit applied.
@@ -183,6 +252,31 @@ func TestBallCacheAcrossGraphs(t *testing.T) {
 				checkMover(t, g, s, u, drop, add)
 			}
 		}
+		// A neutral mover's rows are the store's own. A pass over another
+		// graph through a kernel scratch sharing the store refills it, and
+		// the mover's next searches must not read that graph's balls.
+		u := -1
+		for v := 0; v < n && u < 0; v++ {
+			if s.balls.split(a.word, v) == keepsDistances && a.Degree(v) > 0 {
+				u = v
+			}
+		}
+		if u < 0 {
+			t.Fatalf("n=%d: no neutral mover in %v", n, a)
+		}
+		other, _ := randomPair(n, 2*n, &r)
+		k := NewBatchBFSScratch(0)
+		k.ShareBalls(s)
+		res := make([]BFSResult, n)
+		for _, pass := range []*Graph{b, other} {
+			checkMover(t, a, s, u, nil, nil)
+			pass.AllSourcesBFS(res, k)
+			for v := 0; v < n; v++ {
+				if v != u && !a.HasEdge(u, v) {
+					checkMover(t, a, s, u, nil, []int{v})
+				}
+			}
+		}
 	}
 }
 
@@ -229,12 +323,14 @@ func TestBallCacheMultiEdgeEdits(t *testing.T) {
 // BenchmarkMoverScan is the scan-shaped workload of the cached mover
 // search: each op takes the next mover of a random connected network with
 // about 1.5n edges and scores all of its (drop, target) pairs. "balls"
-// runs the ball path one candidate at a time (its build included,
+// runs the ball path one candidate at a time (its derivation included,
 // whatever the size gate), "batched" the production call, one
 // BFSEditedTargets per drop (the ball path from ballMinN on, one-word
 // searches below), "plain" the one-word search of every edited network,
-// "build" only the ball build. ns/candidate is the op time over the
-// pairs.
+// "build" only the derivation of the mover's balls from the store of one
+// network version, and "pass+build" the same after a new network version
+// (an edge away from the mover removed and re-added), so that every op
+// also fills the store. ns/candidate is the op time over the pairs.
 func BenchmarkMoverScan(b *testing.B) {
 	for _, n := range []int{10, 16, 20, 24, 32, 50, 64} {
 		r := lcg(int64(n))
@@ -242,6 +338,7 @@ func BenchmarkMoverScan(b *testing.B) {
 		type pair struct{ drop, add []int }
 		scans := make([][]pair, n)
 		targets := make([][]int, n)
+		away := make([]Edge, n)
 		cands := 0
 		for u := range scans {
 			for y := 0; y < n; y++ {
@@ -254,12 +351,18 @@ func BenchmarkMoverScan(b *testing.B) {
 					scans[u] = append(scans[u], pair{[]int{x}, []int{y}})
 				}
 			}
+			for _, e := range g.Edges() {
+				if e.U != u && e.V != u {
+					away[u] = e
+				}
+			}
 			cands += len(scans[u])
 		}
 		res := make([]BFSResult, n)
-		for _, mode := range []string{"balls", "batched", "plain", "build"} {
+		for _, mode := range []string{"balls", "batched", "plain", "build", "pass+build"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
 				s := NewBFSScratch(n)
+				s.balls.keptFor(g, 0, 0)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -283,10 +386,169 @@ func BenchmarkMoverScan(b *testing.B) {
 						}
 					case "build":
 						s.balls.build(g, u)
+					case "pass+build":
+						e := away[u]
+						g.RemoveEdge(e.U, e.V)
+						g.AddEdge(e.U, e.V)
+						s.balls.store.fill(g)
+						s.balls.build(g, u)
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)*float64(n)/float64(cands), "ns/candidate")
 			})
 		}
 	}
+}
+
+// moverNetwork returns a one-word network on n vertices for FuzzMoverBalls:
+// a shaped network (leafy trees, stars, K2s, isolated vertices, pendant
+// paths, cycles and sparse parts, in a disconnected union) with, by the
+// bits of joins, a clique on up to eight random vertices (bit 0) and up to
+// seven random edges between distinct components (joins>>1), each of them
+// a bridge whose endpoints are cut vertices once they have other
+// neighbours.
+func moverNetwork(n int, mix, joins uint8, r *rand.Rand) *Graph {
+	g := shapedNetwork(n, mix, r)
+	if joins&1 != 0 && n >= 3 {
+		vs := r.Perm(n)[:3+r.Intn(min(6, n-2))]
+		for i, x := range vs {
+			for _, y := range vs[i+1:] {
+				if !g.HasEdge(x, y) {
+					g.AddEdge(x, y)
+				}
+			}
+		}
+	}
+	for i := 0; i < int(joins>>1)%8; i++ {
+		u, v := r.Intn(n), r.Intn(n)
+		if u != v && g.Dist(u, v) == Unreachable {
+			g.AddEdge(u, v)
+		}
+	}
+	return g
+}
+
+// cutVertex returns a vertex of g whose removal disconnects its
+// component, or -1 if there is none.
+func cutVertex(g *Graph, r *rand.Rand) int {
+	s := NewBFSScratch(g.N())
+	for _, u := range r.Perm(g.N()) {
+		if nb := g.NeighborList(u, nil); len(nb) >= 2 &&
+			g.BFSExcluding(nb[0], u, nil, s).Reached < g.BFS(u, nil, s).Reached-1 {
+			return u
+		}
+	}
+	return -1
+}
+
+// checkMoverSearches compares the cached searches of the mover u of g
+// through s with apply → BFS → undo on ref, a clone of g: BFSEdited on a
+// random edit and on every single addition, and BFSEditedTargets on the
+// empty drop and on one dropped neighbour, against every target. Between
+// the two, pass reads an all-sources pass of g or of other through k, a
+// kernel scratch sharing s's store, or nothing.
+func checkMoverSearches(t *testing.T, where string, g, other, ref *Graph, s *BFSScratch, k *BatchBFSScratch, u int, r *rand.Rand) {
+	t.Helper()
+	n := g.N()
+	rs := NewBFSScratch(n)
+	applied := func(drop, add []int) BFSResult {
+		undo := applyEdit(ref, u, drop, add)
+		defer undo()
+		return ref.BFS(u, nil, rs)
+	}
+	var drop, add, targets []int
+	for v := 0; v < n; v++ {
+		switch {
+		case v == u:
+		case g.HasEdge(u, v):
+			if r.Intn(2) == 0 {
+				drop = append(drop, v)
+			}
+		default:
+			targets = append(targets, v)
+			if r.Intn(3) == 0 {
+				add = append(add, v)
+			}
+		}
+	}
+	if got, want := g.BFSEdited(u, u, drop, add, nil, s), applied(drop, add); got != want {
+		t.Fatalf("%s: n=%d u=%d drop=%v add=%v: BFSEdited %+v, applied %+v on %v", where, n, u, drop, add, got, want, g)
+	}
+	switch r.Intn(3) {
+	case 0:
+		checkAggregates(t, where, g, k)
+	case 1:
+		checkAggregates(t, where, other, k)
+	}
+	drops := [][]int{nil}
+	if nb := g.NeighborList(u, nil); len(nb) > 0 {
+		drops = append(drops, nb[r.Intn(len(nb)):][:1])
+	}
+	res := make([]BFSResult, len(targets))
+	for _, d := range drops {
+		g.BFSEditedTargets(u, d, targets, res, s)
+		for i, y := range targets {
+			if want := applied(d, targets[i:i+1]); res[i] != want {
+				t.Fatalf("%s: n=%d u=%d drop=%v target %d: BFSEditedTargets %+v, applied %+v on %v", where, n, u, d, y, res[i], want, g)
+			}
+		}
+	}
+}
+
+// FuzzMoverBalls checks the derived balls of G−u against the from-scratch
+// build. It decodes two one-word networks of 1..64 vertices (moverNetwork:
+// leaves, stars, cycles, cliques, bridges and cut vertices, often
+// disconnected), runs a random edit script on each and, before the script
+// and after every edit, on each graph in turn, takes a few movers —
+// random ones, the highest-degree vertex and a cut vertex — and requires
+// every stored level of the mover's balls to match refBalls, and BFSEdited
+// and BFSEditedTargets to match apply → BFS, with all-sources passes of
+// either graph through a kernel scratch sharing the store in between. One
+// BFSScratch serves both graphs, every mover and every version, so the
+// derivation meets its cache warm, stale and aliased to a store another
+// graph's pass refilled. The seeds sit at either side of the ball gate and
+// of the one-word limit.
+func FuzzMoverBalls(f *testing.F) {
+	f.Add(int64(1), 1, uint8(0), uint8(0), uint8(2))
+	f.Add(int64(2), 3, uint8(0), uint8(1), uint8(3))
+	f.Add(int64(3), 19, uint8(0), uint8(3), uint8(6))
+	f.Add(int64(4), 20, uint8(0), uint8(5), uint8(6))
+	f.Add(int64(5), 20, uint8(1<<shapeCycle), uint8(7), uint8(6))
+	f.Add(int64(6), 63, uint8(0), uint8(9), uint8(6))
+	f.Add(int64(7), 64, uint8(0), uint8(15), uint8(6))
+	f.Add(int64(8), 64, uint8(1<<shapePendantPath|1<<shapeLeafyTree), uint8(4), uint8(8))
+	f.Add(int64(9), 40, uint8(1<<shapeStar|1<<shapeSparse), uint8(13), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, n int, mix, joins, edits uint8) {
+		if n < 1 || n > 64 {
+			t.Skip()
+		}
+		r := rand.New(rand.NewSource(seed))
+		gs := []*Graph{moverNetwork(n, mix, joins, r), moverNetwork(n, mix, joins>>4|joins<<4, r)}
+		sps := []*Sparse{NewSparseFrom(gs[0]), NewSparseFrom(gs[1])}
+		s := NewBFSScratch(n)
+		k := NewBatchBFSScratch(0)
+		k.ShareBalls(s)
+		for e := 0; e <= int(edits%16); e++ {
+			for i, g := range gs {
+				if e > 0 {
+					editBoth(g, sps[i], r)
+				}
+				where := fmt.Sprintf("graph %d edit %d", i, e)
+				ref := g.Clone()
+				hub := 0
+				for v := range n {
+					if g.Degree(v) > g.Degree(hub) {
+						hub = v
+					}
+				}
+				for _, u := range []int{r.Intn(n), hub, cutVertex(g, r), r.Intn(n)} {
+					if u < 0 {
+						continue
+					}
+					checkMoverSearches(t, where, g, gs[1-i], ref, s, k, u, r)
+					checkMoverRows(t, where, g, s, u)
+				}
+			}
+		}
+	})
 }

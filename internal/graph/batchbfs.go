@@ -56,6 +56,9 @@ type BatchBFSScratch struct {
 	touched []bool
 	// agg holds the buffers of the aggregate-only pass (aggregates.go).
 	agg aggScratch
+	// balls is the ball store behind the one-word AllSourcesBFS (see
+	// ballStore), allocated on first use or shared with a BFSScratch.
+	balls *ballStore
 }
 
 // NewBatchBFSScratch returns scratch space for batched BFS on n-vertex
@@ -148,16 +151,36 @@ func (g *Graph) BatchBFSExcluding(sources []int, excl int, rows [][]int32, res [
 
 // AllSourcesBFS computes every vertex's BFS aggregates into res (length n)
 // in the aggregate-only pass of aggregates.go, 256 sources per sweep, or
-// on networks of at most 64 vertices in one word-parallel level loop (see
-// allSourcesWord). It is the primitive behind the memoized cost reads of
+// on networks of at most 64 vertices by reading them off the scratch's
+// ball store, whose one word-parallel level loop per network version also
+// serves the mover searches of a BFSScratch that shares it (see
+// ShareBalls). It is the primitive behind the memoized cost reads of
 // landmark mode and naive-routed runs and the social-cost metrics; each
 // res[u] is identical to BFS from u.
 func (g *Graph) AllSourcesBFS(res []BFSResult, s *BatchBFSScratch) {
-	if g.word != nil {
-		g.allSourcesWord(res, s)
+	if g.word == nil {
+		allSourcesOver(g, res, s)
 		return
 	}
-	allSourcesOver(g, res, s)
+	if len(res) != g.n {
+		panic("graph: AllSourcesBFS res length mismatch")
+	}
+	if s.balls == nil {
+		s.balls = new(ballStore)
+	}
+	s.balls.fill(g)
+	copy(res, s.balls.res)
+}
+
+// ShareBalls makes s read its one-word all-sources aggregates off t's ball
+// store: AllSourcesBFS on s and the mover searches of BFSEdited and
+// BFSEditedTargets on t then fill the store once per network version
+// between them. Both scratches must serve one goroutine.
+func (s *BatchBFSScratch) ShareBalls(t *BFSScratch) {
+	if t.balls.store == nil {
+		t.balls.store = new(ballStore)
+	}
+	s.balls = t.balls.store
 }
 
 // FillUnreachable sets every entry of dst to Unreachable; it is the

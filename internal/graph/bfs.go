@@ -25,8 +25,9 @@ type BFSScratch struct {
 	row  Bitset
 	mark Bitset
 	// balls caches the mover's G−u balls for BFSEdited and
-	// BFSEditedTargets on one-word networks (see balls.go); it is
-	// allocated on first use.
+	// BFSEditedTargets on one-word networks, derived from a store of G's
+	// own balls (see balls.go); both are allocated on first use, and a
+	// BatchBFSScratch may share the store (ShareBalls).
 	balls moverBalls
 }
 
@@ -84,12 +85,13 @@ func (g *Graph) BFSExcluding(src, excl int, dist []int32, s *BFSScratch) BFSResu
 // On networks of ballMinN..64 vertices, an aggregate-only search from the
 // mover (src == u, dist == nil) — the search that scores a candidate
 // strategy — is answered from the balls of G−u cached in s: the first
-// such search of a mover on a network version builds them in one
-// word-parallel pass, and each later one costs one OR and one popcount per
-// level (see moverBalls); BFSEditedTargets scores all single additions of
-// one drop against one read of the kept neighbours' balls. The cache is
-// keyed on the graph's identity, its AdjVersion and the mover, so a
-// scratch may alternate between graphs, movers and mutations of one graph.
+// such search of a mover on a network version derives them from the balls
+// of G, which one word-parallel pass per version fills for every mover,
+// and each later one costs one OR and one popcount per level (see
+// moverBalls); BFSEditedTargets scores all single additions of one drop
+// against one read of the kept neighbours' balls. The cache is keyed on
+// the graph's identity, its AdjVersion and the mover, so a scratch may
+// alternate between graphs, movers and mutations of one graph.
 func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult {
 	if g.word != nil {
 		var dm, am uint64
