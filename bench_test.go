@@ -163,12 +163,16 @@ func BenchmarkIsomorphism(b *testing.B) {
 // (game.Naive), at n in {64, 128, 256}. The DeltaScan/FullRun names are
 // part of the CI performance trajectory: the bench job records their
 // ns/op into BENCH_ensemble.json and diffs against BENCH_baseline.json.
+// The MAX and n = 10 naive scans time the bounded target scoring of
+// graph.Store.BFSEditedTargets: the ball path's reach test at n = 64, and
+// the one-word searches that stop at the fold's distance limit at n = 10,
+// the hunts' size, under SUM and under MAX.
 
 // benchSwapBest scans BestMoves of every agent of a budget network once
 // per iteration.
-func benchSwapBest(b *testing.B, n int, naive bool) {
+func benchSwapBest(b *testing.B, n int, kind game.DistKind, naive bool) {
 	g := gen.BudgetNetwork(n, 3, gen.NewRand(1))
-	var gm game.Game = game.NewAsymSwap(game.Sum)
+	var gm game.Game = game.NewAsymSwap(kind)
 	if naive {
 		gm = game.Naive(gm)
 	}
@@ -183,17 +187,20 @@ func benchSwapBest(b *testing.B, n int, naive bool) {
 	}
 }
 
-func BenchmarkDeltaScanASG64(b *testing.B)  { benchSwapBest(b, 64, false) }
-func BenchmarkNaiveScanASG64(b *testing.B)  { benchSwapBest(b, 64, true) }
-func BenchmarkDeltaScanASG128(b *testing.B) { benchSwapBest(b, 128, false) }
-func BenchmarkNaiveScanASG128(b *testing.B) { benchSwapBest(b, 128, true) }
-func BenchmarkDeltaScanASG256(b *testing.B) { benchSwapBest(b, 256, false) }
-func BenchmarkNaiveScanASG256(b *testing.B) { benchSwapBest(b, 256, true) }
+func BenchmarkNaiveScanASG10(b *testing.B)    { benchSwapBest(b, 10, game.Sum, true) }
+func BenchmarkNaiveScanMaxASG10(b *testing.B) { benchSwapBest(b, 10, game.Max, true) }
+func BenchmarkDeltaScanASG64(b *testing.B)    { benchSwapBest(b, 64, game.Sum, false) }
+func BenchmarkNaiveScanASG64(b *testing.B)    { benchSwapBest(b, 64, game.Sum, true) }
+func BenchmarkNaiveScanMaxASG64(b *testing.B) { benchSwapBest(b, 64, game.Max, true) }
+func BenchmarkDeltaScanASG128(b *testing.B)   { benchSwapBest(b, 128, game.Sum, false) }
+func BenchmarkNaiveScanASG128(b *testing.B)   { benchSwapBest(b, 128, game.Sum, true) }
+func BenchmarkDeltaScanASG256(b *testing.B)   { benchSwapBest(b, 256, game.Sum, false) }
+func BenchmarkNaiveScanASG256(b *testing.B)   { benchSwapBest(b, 256, game.Sum, true) }
 
 // benchGreedyBest is the GBG counterpart over a random connected network.
-func benchGreedyBest(b *testing.B, n int, naive bool) {
+func benchGreedyBest(b *testing.B, n int, kind game.DistKind, naive bool) {
 	g := gen.RandomConnected(n, 2*n, gen.NewRand(2))
-	var gm game.Game = game.NewGreedyBuy(game.Sum, game.NewAlpha(int64(n), 4))
+	var gm game.Game = game.NewGreedyBuy(kind, game.NewAlpha(int64(n), 4))
 	if naive {
 		gm = game.Naive(gm)
 	}
@@ -208,12 +215,13 @@ func benchGreedyBest(b *testing.B, n int, naive bool) {
 	}
 }
 
-func BenchmarkDeltaScanGBG64(b *testing.B)  { benchGreedyBest(b, 64, false) }
-func BenchmarkNaiveScanGBG64(b *testing.B)  { benchGreedyBest(b, 64, true) }
-func BenchmarkDeltaScanGBG128(b *testing.B) { benchGreedyBest(b, 128, false) }
-func BenchmarkNaiveScanGBG128(b *testing.B) { benchGreedyBest(b, 128, true) }
-func BenchmarkDeltaScanGBG256(b *testing.B) { benchGreedyBest(b, 256, false) }
-func BenchmarkNaiveScanGBG256(b *testing.B) { benchGreedyBest(b, 256, true) }
+func BenchmarkDeltaScanGBG64(b *testing.B)    { benchGreedyBest(b, 64, game.Sum, false) }
+func BenchmarkNaiveScanGBG64(b *testing.B)    { benchGreedyBest(b, 64, game.Sum, true) }
+func BenchmarkNaiveScanMaxGBG64(b *testing.B) { benchGreedyBest(b, 64, game.Max, true) }
+func BenchmarkDeltaScanGBG128(b *testing.B)   { benchGreedyBest(b, 128, game.Sum, false) }
+func BenchmarkNaiveScanGBG128(b *testing.B)   { benchGreedyBest(b, 128, game.Sum, true) }
+func BenchmarkDeltaScanGBG256(b *testing.B)   { benchGreedyBest(b, 256, game.Sum, false) }
+func BenchmarkNaiveScanGBG256(b *testing.B)   { benchGreedyBest(b, 256, game.Sum, true) }
 
 // plainPolicy hides a policy's engine fast path, so the naive benchmarks
 // reproduce the pre-engine behaviour exactly: costs recomputed by BFS

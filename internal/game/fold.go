@@ -144,7 +144,11 @@ func (f *fold) offer(c Cost, drop, add []int) bool {
 // is smaller there is no limit. The keep rule still judges every offered
 // candidate, so the kept moves, their order and a probe's early exit do
 // not change; a best query's limit falls as its best does, so it is read
-// again after each offer.
+// again after each offer. The naive scans also hand the limit to the
+// search that scores a drop's targets (offerTargets), which stops a
+// target's search as soon as its distance cost is known to reach the
+// limit; since the limit never rises within a drop, the one taken before
+// the search stays sound.
 func (f *fold) distLimit(h int64) int64 {
 	ref, limit := f.cur, f.cur.Dist
 	if f.q == bestQuery {

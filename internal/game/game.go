@@ -360,12 +360,16 @@ func movedCost(g graph.Store, v int, m Move, kind DistKind, model costModel, s *
 // to dst: vertices that are not u, not already neighbours of u, and
 // host-permitted.
 func (b base) swapTargets(g graph.Store, u int, dst []int) []int {
-	n := g.N()
-	for v := 0; v < n; v++ {
-		if v == u || g.HasEdge(u, v) || !b.allowed(u, v) {
-			continue
-		}
-		dst = append(dst, v)
+	start := len(dst)
+	dst = g.NonNeighborList(u, dst)
+	if b.host == nil {
+		return dst
 	}
-	return dst
+	kept := dst[:start]
+	for _, v := range dst[start:] {
+		if b.allowed(u, v) {
+			kept = append(kept, v)
+		}
+	}
+	return kept
 }

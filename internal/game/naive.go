@@ -16,8 +16,13 @@ import (
 // networks of about 20 agents or more reads the union over the mover's
 // kept neighbours once from its cached G−u balls and then pays one OR and
 // one popcount per level and target; the edge-cost halves are the drop's,
-// computed once. The mover's current cost is read off the same balls. The
-// two scorings stay two enumerators, so neither branches on the other. On
+// computed once. The call is bounded by the fold's distance limit for the
+// drop (graph.Bound), so a target that cannot be kept may be cut off
+// before its search ends: under MAX one reach test per target on the
+// balls, under SUM and MAX the first hopeless level of the one-word
+// searches below 20 agents, the hunts' size. The mover's current cost is
+// read off the same balls. The two scorings stay two enumerators, so
+// neither branches on the other. On
 // dense networks of at most 64 agents the naive scans are the faster ones
 // and the ones production runs (see PreferNaiveScan); elsewhere they are
 // the scoring reference the delta scans are tested against. The tests'
@@ -32,13 +37,27 @@ import (
 // order at the drop's edge-cost halves; it reports whether the
 // enumeration goes on. The drop's candidates share their halves, so one
 // distance limit (fold.distLimit) skips those the keep rule cannot keep
-// without a call into the fold.
+// without a call into the fold. The limit taken before the call also
+// bounds the search itself (graph.Bound: a SUM limit bounds the sum, a
+// MAX limit the eccentricity), which may then cut a target off to a
+// result that reaches no vertex; distCost reads it as disconnected, at or
+// past any limit, so it is skipped like every other target past the
+// limit. The limit only falls within a drop, so the bound stays sound as
+// the offers tighten it.
 func offerTargets(f *fold, g graph.Store, u int, drop []int, kind DistKind, halves int64) bool {
 	s := f.s
 	s.scored = slices.Grow(s.scored[:0], len(s.buf2))[:len(s.buf2)]
-	g.BFSEditedTargets(u, drop, s.buf2, s.scored, s.bfs)
-	n := g.N()
 	limit := f.distLimit(halves)
+	var b graph.Bound
+	switch {
+	case limit >= DistInf:
+	case kind == Sum:
+		b.Sum = limit
+	default:
+		b.Ecc = int32(limit)
+	}
+	g.BFSEditedTargets(u, drop, s.buf2, b, s.scored, s.bfs)
+	n := g.N()
 	for i, r := range s.scored {
 		d := distCost(r, n, kind)
 		if d >= limit {

@@ -43,7 +43,11 @@ import "math/bits"
 // (five alternating runs). Deriving the balls from the store made the
 // build cheaper, which can only move the crossover down; the value stays,
 // since the hunts at n = 10 change the network between the agents of one
-// state and so would fill a store for nearly every scan.
+// state and so would fill a store for nearly every scan. Both paths now
+// also take a distance bound (Bound), which cuts MAX targets on the balls
+// by one reach test each and SUM and MAX targets in the one-word searches
+// at their first hopeless level. The crossover above was measured before
+// bounded scoring, and the value stays.
 const ballMinN = 20
 
 // ballStore holds the balls of a one-word network G itself for one
@@ -235,12 +239,29 @@ func (b *moverBalls) search(g *Graph, u int, dm uint64, add []int) BFSResult {
 
 // searchEach sets res[i] to search(g, u, dm, add[i:i+1]) for every i: the
 // kept union is read once for the whole list, and each target costs one
-// OR and one popcount per level.
-func (b *moverBalls) searchEach(g *Graph, u int, dm uint64, add []int, res []BFSResult) {
+// OR and one popcount per level. A positive ecc is BFSEditedTargets'
+// eccentricity bound: a target can then be kept only if it reaches all n
+// vertices within ecc-1 hops, kept[r] | B_y[r] at r = ecc-2 (clamped to
+// the last level, where every ball is complete), so one OR and one
+// compare cut every other target before its levels are read.
+func (b *moverBalls) searchEach(g *Graph, u int, dm uint64, add []int, ecc int32, res []BFSResult) {
 	kept := b.keptFor(g, u, dm)
 	n := g.n
+	if ecc == 0 {
+		for i, y := range add {
+			res[i] = levels(kept, b.ball[y*n:y*n+len(kept)])
+		}
+		return
+	}
+	r := min(int(ecc)-2, len(kept)-1)
+	all := ^uint64(0) >> uint(64-n)
 	for i, y := range add {
-		res[i] = levels(kept, b.ball[y*n:y*n+len(kept)])
+		ball := b.ball[y*n : y*n+len(kept)]
+		if r < 0 || kept[r]|ball[r] != all {
+			res[i] = BFSResult{}
+			continue
+		}
+		res[i] = levels(kept, ball)
 	}
 }
 

@@ -375,14 +375,14 @@ func BenchmarkMoverScan(b *testing.B) {
 					case "batched":
 						for x := g.word[u]; x != 0; x &= x - 1 {
 							drop := []int{bits.TrailingZeros64(x)}
-							g.BFSEditedTargets(u, drop, targets[u], res[:len(targets[u])], s)
+							g.BFSEditedTargets(u, drop, targets[u], Bound{}, res[:len(targets[u])], s)
 						}
 						searchSink = res[0]
 					case "plain":
 						for _, p := range scans[u] {
 							ed := wordEdit{u: u, row: g.word[u]&^(1<<uint(p.drop[0])) | 1<<uint(p.add[0]),
 								touched: 1<<uint(u) | 1<<uint(p.drop[0]) | 1<<uint(p.add[0])}
-							searchSink = g.bfsWord(u, 0, ed, nil)
+							searchSink = g.bfsWord(u, 0, ed, Bound{}, nil)
 						}
 					case "build":
 						s.balls.build(g, u)
@@ -484,12 +484,16 @@ func checkMoverSearches(t *testing.T, where string, g, other, ref *Graph, s *BFS
 	if nb := g.NeighborList(u, nil); len(nb) > 0 {
 		drops = append(drops, nb[r.Intn(len(nb)):][:1])
 	}
-	res := make([]BFSResult, len(targets))
+	res, want := make([]BFSResult, len(targets)), make([]BFSResult, len(targets))
 	for _, d := range drops {
-		g.BFSEditedTargets(u, d, targets, res, s)
+		for i := range targets {
+			want[i] = applied(d, targets[i:i+1])
+		}
+		b := randomBound(want, n, r.Uint64())
+		g.BFSEditedTargets(u, d, targets, b, res, s)
 		for i, y := range targets {
-			if want := applied(d, targets[i:i+1]); res[i] != want {
-				t.Fatalf("%s: n=%d u=%d drop=%v target %d: BFSEditedTargets %+v, applied %+v on %v", where, n, u, d, y, res[i], want, g)
+			if !bounded(res[i], want[i], n, b) {
+				t.Fatalf("%s: n=%d u=%d drop=%v target %d bound %+v: BFSEditedTargets %+v, applied %+v on %v", where, n, u, d, y, b, res[i], want[i], g)
 			}
 		}
 	}

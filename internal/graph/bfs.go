@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Unreachable is the distance reported for vertices in a different connected
 // component. It is large enough that no sum of n-1 real distances can reach
@@ -105,7 +108,7 @@ func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScrat
 			am |= 1 << uint(y)
 		}
 		ed := wordEdit{u: u, row: g.word[u]&^dm | am, touched: dm | am | 1<<uint(u)}
-		return g.bfsWord(src, 0, ed, dist)
+		return g.bfsWord(src, 0, ed, Bound{}, dist)
 	}
 	if len(s.row) == 0 {
 		s.row = make(Bitset, len(s.visited))
@@ -120,17 +123,50 @@ func (g *Graph) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScrat
 	return g.bfsBits(src, -1, &edit{u: u, drop: drop, add: add}, dist, s)
 }
 
+// Bound limits a batched edited search (BFSEditedTargets) to the results
+// its caller can still use. A target's exact cost cannot be kept when its
+// search does not reach all n vertices, or when its Sum is at least Sum, or
+// its Ecc at least Ecc; such a target may be cut off, reported as the
+// zero BFSResult (Reached == 0), before its search ends. A zero field
+// bounds nothing, so the zero Bound asks for every result exact.
+type Bound struct {
+	Sum int64
+	Ecc int32
+}
+
+// limits returns b's bounds with a zero field read as no bound.
+func (b Bound) limits() (sum int64, ecc int32) {
+	sum, ecc = b.Sum, b.Ecc
+	if sum == 0 {
+		sum = math.MaxInt64
+	}
+	if ecc == 0 {
+		ecc = math.MaxInt32
+	}
+	return sum, ecc
+}
+
 // BFSEditedTargets scores a drop's targets in one call: it sets res[i] to
 // BFSEdited(u, u, drop, add[i:i+1], nil, s), the aggregates of a search
 // from u after u drops its edges to drop and adds one edge to add[i], for
-// every i. drop and add follow BFSEdited's contract, and res must have
-// len(add) entries. On one-word networks of ballMinN or more vertices the
-// union over u's kept neighbours is read from the cached balls once per
-// call, through the memo the single searches share, and each target costs
-// one OR and one popcount per level; below ballMinN each target is one
-// one-word search over u's edited row, built once per call. Beyond one
-// word it is a loop of BFSEdited.
-func (g *Graph) BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFSScratch) {
+// every i, or cuts res[i] off to the zero BFSResult where b allows (see
+// Bound). drop and add follow BFSEdited's contract, and res must have
+// len(add) entries.
+//
+// On one-word networks of ballMinN or more vertices the union over u's
+// kept neighbours is read from the cached balls once per call, through
+// the memo the single searches share, and each target costs one OR and
+// one popcount per level; under an Ecc bound one reach test per target,
+// at level b.Ecc-1, cuts every target that does not reach all n vertices
+// by then, before its levels are read. Sum bounds are not applied there:
+// a lower bound on Sum costs about as much per level as the exact count,
+// and cutting on it measured slower on the SUM figure series. Below
+// ballMinN each target is one one-word search over u's edited row, built
+// once per call, which stops at the first level where the vertices it
+// has not reached show the target's cost at or past a bound (see
+// bfsWord). Beyond one word it is a loop of BFSEdited, every result
+// exact.
+func (g *Graph) BFSEditedTargets(u int, drop, add []int, b Bound, res []BFSResult, s *BFSScratch) {
 	if g.word == nil {
 		for i := range add {
 			res[i] = g.BFSEdited(u, u, drop, add[i:i+1], nil, s)
@@ -142,14 +178,14 @@ func (g *Graph) BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFS
 		dm |= 1 << uint(x)
 	}
 	if g.n >= ballMinN {
-		s.balls.searchEach(g, u, dm, add, res)
+		s.balls.searchEach(g, u, dm, add, b.Ecc, res)
 		return
 	}
 	// The search starts at u, which is visited before any other row is
 	// read, so only u's row needs the edit.
 	row := g.word[u] &^ dm
 	for i, y := range add {
-		res[i] = g.bfsWord(u, 0, wordEdit{u: u, row: row | 1<<uint(y), touched: 1 << uint(u)}, nil)
+		res[i] = g.bfsWord(u, 0, wordEdit{u: u, row: row | 1<<uint(y), touched: 1 << uint(u)}, b, nil)
 	}
 }
 
@@ -161,7 +197,7 @@ func (g *Graph) bfsFrom(src, excl int, dist []int32, s *BFSScratch) BFSResult {
 		if excl >= 0 {
 			visited = 1 << uint(excl)
 		}
-		return g.bfsWord(src, visited, wordEdit{}, dist)
+		return g.bfsWord(src, visited, wordEdit{}, Bound{}, dist)
 	}
 	return g.bfsBits(src, excl, nil, dist, s)
 }
@@ -179,7 +215,19 @@ type wordEdit struct {
 // adjacency row is one word: the frontier and the visited set are words,
 // and a level expands by a trailing-zeros loop over the frontier. visited
 // seeds the excluded vertex, if any.
-func (g *Graph) bfsWord(src int, visited uint64, ed wordEdit, dist []int32) BFSResult {
+//
+// The distance sum is counted in deficit form: a vertex at distance d is
+// counted once at each of the levels 0..d-1 it is still missing from, so
+// with miss_t the vertices not reached within t hops, Sum = Σ_t miss_t.
+// Every prefix of that sum is a lower bound on Sum, and the search stops,
+// cut off to the zero BFSResult, at the first level where the prefix
+// reaches b.Sum, or where some vertex is still missing after b.Ecc-1
+// levels. Each level then costs one subtract, one add and two compares,
+// and no multiply; an unreachable vertex counts at every level, which the
+// exact sum takes out at the end. The search also ends as soon as nothing
+// is missing, one frontier expansion before the level that finds nothing
+// new.
+func (g *Graph) bfsWord(src int, visited uint64, ed wordEdit, b Bound, dist []int32) BFSResult {
 	adj := g.word
 	frontier := uint64(1) << uint(src)
 	visited |= frontier
@@ -187,8 +235,14 @@ func (g *Graph) bfsWord(src int, visited uint64, ed wordEdit, dist []int32) BFSR
 		fill32(dist, Unreachable)
 		dist[src] = 0
 	}
+	sumLim, eccLim := b.limits()
+	miss := len(adj) - bits.OnesCount64(visited)
+	sum := int64(miss)
 	res := BFSResult{Reached: 1}
-	for depth := int32(1); ; depth++ {
+	for depth := int32(1); miss != 0; depth++ {
+		if sum >= sumLim || depth >= eccLim {
+			return BFSResult{}
+		}
 		var next uint64
 		for f := frontier &^ ed.touched; f != 0; f &= f - 1 {
 			next |= adj[bits.TrailingZeros64(f)]
@@ -203,12 +257,16 @@ func (g *Graph) bfsWord(src int, visited uint64, ed wordEdit, dist []int32) BFSR
 		}
 		next &^= visited
 		if next == 0 {
+			// The miss unreachable vertices were counted at the levels
+			// 0..depth-1.
+			res.Sum = sum - int64(depth)*int64(miss)
 			return res
 		}
 		cnt := bits.OnesCount64(next)
 		res.Reached += cnt
-		res.Sum += int64(depth) * int64(cnt)
 		res.Ecc = depth
+		miss -= cnt
+		sum += int64(miss)
 		visited |= next
 		if dist != nil {
 			for f := next; f != 0; f &= f - 1 {
@@ -217,6 +275,8 @@ func (g *Graph) bfsWord(src int, visited uint64, ed wordEdit, dist []int32) BFSR
 		}
 		frontier = next
 	}
+	res.Sum = sum
+	return res
 }
 
 // edit is a strategy change of u for BFSEdited: its edges to drop go and

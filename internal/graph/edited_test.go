@@ -112,6 +112,124 @@ func TestBFSEditedMatchesApply(t *testing.T) {
 	}
 }
 
+// bounded reports whether got is a valid BFSEditedTargets result under b
+// for a target whose exact result is want: want itself, or the zero
+// BFSResult of a cut when want's cost could not be kept — short of n
+// vertices, or a Sum or Ecc at or past a non-zero bound.
+func bounded(got, want BFSResult, n int, b Bound) bool {
+	if got == want {
+		return true
+	}
+	return got == BFSResult{} &&
+		(want.Reached < n || b.Sum != 0 && want.Sum >= b.Sum || b.Ecc != 0 && want.Ecc >= b.Ecc)
+}
+
+// randomBound returns a bound for a BFSEditedTargets call whose exact
+// results are want, chosen by the bits of pick: none; a SUM bound, a MAX
+// bound or both, one below, at or one above a random result's value, so
+// that the cut rule is met on both sides; an eccentricity bound of 1,
+// which no result on two or more vertices stays below; or one past every
+// depth.
+func randomBound(want []BFSResult, n int, pick uint64) Bound {
+	var ref BFSResult
+	if len(want) > 0 {
+		ref = want[pick>>8%uint64(len(want))]
+	}
+	off := int64(pick>>4%3) - 1
+	sum, ecc := max(1, ref.Sum+off), max(1, ref.Ecc+int32(off))
+	switch pick % 8 {
+	case 0:
+		return Bound{}
+	case 1, 2:
+		return Bound{Sum: sum}
+	case 3, 4:
+		return Bound{Ecc: ecc}
+	case 5:
+		return Bound{Sum: sum, Ecc: ecc}
+	case 6:
+		return Bound{Ecc: 1}
+	}
+	return Bound{Ecc: int32(n) + 1 + int32(pick>>16%64)}
+}
+
+// TestBFSEditedTargetsBound runs BFSEditedTargets under bounds around its
+// exact results — one below, at and one above the Sum and the Ecc of
+// several targets, both at once, an Ecc of 1 and bounds past every depth —
+// on both sides of ballMinN and beyond one word, on connected and
+// disconnected networks of both backends, and requires every result to
+// be exact or a cut of a cost that could not be kept (bounded). The exact
+// results come from BFSEdited with a distance row, which never reads the
+// balls. It also requires the cuts to happen where they save work: MAX
+// cuts on the ball path, SUM and MAX cuts in the one-word searches below
+// it.
+func TestBFSEditedTargetsBound(t *testing.T) {
+	type path struct{ name, kind string }
+	cuts := map[path]int{}
+	for _, n := range []int{2, 7, 10, ballMinN - 1, ballMinN, 33, 64, 70} {
+		for _, extra := range []int{0, n / 2, 2 * n} {
+			r := lcg(int64(31*n + extra))
+			g, sp := randomPair(n, extra, &r)
+			if extra == 0 {
+				// Cut tree edges: some results are disconnected.
+				applyScript(g, sp, []byte{1, byte(r.intn(n)), byte(r.intn(n)), 1, byte(r.intn(n)), byte(r.intn(n))})
+			}
+			s := NewBFSScratch(n)
+			dist := make([]int32, n)
+			want, got := make([]BFSResult, n), make([]BFSResult, n)
+			for u := 0; u < n; u += 1 + n/24 {
+				targets := g.NonNeighborList(u, nil)
+				want, got := want[:len(targets)], got[:len(targets)]
+				drops := [][]int{nil}
+				for _, x := range g.NeighborList(u, nil) {
+					drops = append(drops, []int{x})
+				}
+				for _, drop := range drops {
+					for i, y := range targets {
+						want[i] = g.BFSEdited(u, u, drop, []int{y}, dist, s)
+					}
+					bounds := []Bound{{}, {Ecc: 1}, {Sum: 1}, {Ecc: int32(n) + 2}, {Sum: 1 << 40}}
+					for k := 0; k < 3 && len(want) > 0; k++ {
+						ref := want[r.intn(len(want))]
+						for off := int64(-1); off <= 1; off++ {
+							bounds = append(bounds, Bound{Sum: max(1, ref.Sum+off)}, Bound{Ecc: max(1, ref.Ecc+int32(off))},
+								Bound{Sum: max(1, ref.Sum+off), Ecc: max(1, ref.Ecc+int32(off))})
+						}
+					}
+					for _, b := range bounds {
+						for _, st := range []Store{g, sp} {
+							st.BFSEditedTargets(u, drop, targets, b, got, s)
+							for i, y := range targets {
+								if !bounded(got[i], want[i], n, b) {
+									t.Fatalf("%T n=%d u=%d drop=%v target %d bound %+v: got %+v, exact %+v on %v",
+										st, n, u, drop, y, b, got[i], want[i], g)
+								}
+								if got[i] != want[i] && st == Store(g) {
+									p := path{"one-word search", "sum"}
+									if n >= ballMinN {
+										p.name = "ball"
+									}
+									if b.Ecc != 0 {
+										p.kind = "max"
+									}
+									cuts[p]++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, p := range []path{{"ball", "max"}, {"one-word search", "sum"}, {"one-word search", "max"}} {
+		if cuts[p] == 0 {
+			t.Errorf("no %s bound cut a target on the %s path: %v", p.kind, p.name, cuts)
+		}
+	}
+	if c := cuts[path{"ball", "sum"}]; c != 0 {
+		t.Errorf("the ball path cut %d targets under a SUM bound alone, which it does not apply", c)
+	}
+}
+
 // TestBFSEditedConcurrent searches one shared network from many goroutines
 // at once; under -race it proves the search read-only.
 func TestBFSEditedConcurrent(t *testing.T) {

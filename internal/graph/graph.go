@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -187,6 +188,26 @@ func (g *Graph) NeighborList(u int, dst []int) []int { return g.adj[u].Elements(
 
 // OwnedList appends the owned neighbours of u to dst in increasing order.
 func (g *Graph) OwnedList(u int, dst []int) []int { return g.out[u].Elements(dst) }
+
+// NonNeighborList appends the vertices other than u that are not
+// neighbours of u to dst in increasing order: the complement of u's
+// adjacency row, one word on networks of at most 64 vertices.
+func (g *Graph) NonNeighborList(u int, dst []int) []int {
+	row := g.adj[u]
+	for i, w := range row {
+		w = ^w
+		if i == u>>6 {
+			w &^= 1 << uint(u&63)
+		}
+		if i == len(row)-1 && g.n&63 != 0 {
+			w &= 1<<uint(g.n&63) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, i<<6|bits.TrailingZeros64(w))
+		}
+	}
+	return dst
+}
 
 // Edges returns all edges with their owner as the U field, sorted by
 // (owner, other endpoint).

@@ -327,6 +327,27 @@ func (sp *Sparse) OwnedList(u int, dst []int) []int {
 	return dst
 }
 
+// NonNeighborList appends the vertices other than u that are not
+// neighbours of u to dst in increasing order, in one merge walk over u's
+// sorted row.
+func (sp *Sparse) NonNeighborList(u int, dst []int) []int {
+	v := 0
+	for _, e := range sp.row(u) {
+		for w := int(e & spVertex); v < w; v++ {
+			if v != u {
+				dst = append(dst, v)
+			}
+		}
+		v++
+	}
+	for ; v < sp.n; v++ {
+		if v != u {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
 // AppendNeighbors32 appends the neighbours of u to dst in increasing order
 // as int32.
 func (sp *Sparse) AppendNeighbors32(u int, dst []int32) []int32 {
@@ -424,8 +445,11 @@ func (sp *Sparse) BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScr
 }
 
 // BFSEditedTargets sets res[i] to BFSEdited(u, u, drop, add[i:i+1], nil,
-// s) for every i; contract identical to (*Graph).BFSEditedTargets.
-func (sp *Sparse) BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFSScratch) {
+// s) for every i; contract identical to (*Graph).BFSEditedTargets. Every
+// result is exact: the naive scans reach CSR networks only in the MAX-tree
+// regime (game.PreferNaiveScan), where each target is a queue search of
+// its own and no bound is applied yet.
+func (sp *Sparse) BFSEditedTargets(u int, drop, add []int, _ Bound, res []BFSResult, s *BFSScratch) {
 	for i := range add {
 		res[i] = sp.BFSEdited(u, u, drop, add[i:i+1], nil, s)
 	}

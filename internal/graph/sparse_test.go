@@ -72,6 +72,17 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse, bs *BFSScratch) {
 		if !equalInts(dl, sl) {
 			t.Fatalf("owned list of %d diverged: dense %v, sparse %v", u, dl, sl)
 		}
+		// n-1-deg increasing vertices, none of them u or a neighbour,
+		// are exactly u's non-neighbours.
+		dl, sl = g.NonNeighborList(u, dl[:0]), sp.NonNeighborList(u, sl[:0])
+		if !equalInts(dl, sl) || len(dl) != n-1-g.Degree(u) {
+			t.Fatalf("non-neighbour list of %d (degree %d) diverged: dense %v, sparse %v", u, g.Degree(u), dl, sl)
+		}
+		for i, v := range dl {
+			if v == u || g.HasEdge(u, v) || i > 0 && v <= dl[i-1] {
+				t.Fatalf("non-neighbour list of %d: %v holds %d at %d", u, dl, v, i)
+			}
+		}
 	}
 	dRows, sRows := g.AppendOwnedRows(nil), sp.AppendOwnedRows(nil)
 	if !equalWords(dRows, sRows) {
@@ -136,15 +147,17 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse, bs *BFSScratch) {
 	}
 
 	// The batched mover search, for every drop of a scan (one neighbour,
-	// or none as for the GBG's additions): each target's result must
-	// equal the edited search with a distance row, which never reads the
-	// balls. Every mover is checked on the one-word dense network, where
-	// the batched call reads balls or runs one-word searches; the CSR
-	// copy's call, and the dense one beyond 64 vertices, are loops of
-	// their own BFSEdited, checked at every 16th mover, which keeps the
-	// fuzz target's throughput.
+	// or none as for the GBG's additions), under a random bound
+	// (randomBound): each target's result must equal the edited search
+	// with a distance row, which never reads the balls, or be a cut of a
+	// cost that could not be kept (bounded). Every mover is checked on
+	// the one-word dense network, where the batched call reads balls or
+	// runs one-word searches; the CSR copy's call, and the dense one
+	// beyond 64 vertices, are loops of their own BFSEdited, checked at
+	// every 16th mover, which keeps the fuzz target's throughput.
 	var targets []int
-	dt, st := make([]BFSResult, n), make([]BFSResult, n)
+	dt, st, want := make([]BFSResult, n), make([]BFSResult, n), make([]BFSResult, n)
+	pick := lcg(n)
 	for u := 0; u < n; u++ {
 		both := u%16 == 0
 		if g.word == nil && !both {
@@ -161,15 +174,18 @@ func checkSparseParity(t *testing.T, g *Graph, sp *Sparse, bs *BFSScratch) {
 			drops = append(drops, []int{x})
 		}
 		for _, drop := range drops {
-			g.BFSEditedTargets(u, drop, targets, dt[:len(targets)], bs)
+			for i, y := range targets {
+				want[i] = g.BFSEdited(u, u, drop, []int{y}, dd, bs)
+			}
+			b := randomBound(want[:len(targets)], n, pick.next())
+			g.BFSEditedTargets(u, drop, targets, b, dt[:len(targets)], bs)
 			if both {
-				sp.BFSEditedTargets(u, drop, targets, st[:len(targets)], bs)
+				sp.BFSEditedTargets(u, drop, targets, b, st[:len(targets)], bs)
 			}
 			for i, y := range targets {
-				want := g.BFSEdited(u, u, drop, []int{y}, dd, bs)
-				if dt[i] != want || both && st[i] != want {
-					t.Fatalf("BFSEditedTargets(u=%d, drop %v) at target %d: dense %+v, sparse %+v, edited search %+v",
-						u, drop, y, dt[i], st[i], want)
+				if !bounded(dt[i], want[i], n, b) || both && !bounded(st[i], want[i], n, b) {
+					t.Fatalf("BFSEditedTargets(u=%d, drop %v, bound %+v) at target %d: dense %+v, sparse %+v, edited search %+v",
+						u, drop, b, y, dt[i], st[i], want[i])
 				}
 			}
 		}

@@ -60,6 +60,9 @@ type Store interface {
 	// OwnedList appends the owned neighbours of u to dst in increasing
 	// order.
 	OwnedList(u int, dst []int) []int
+	// NonNeighborList appends the vertices other than u that are not
+	// neighbours of u to dst in increasing order.
+	NonNeighborList(u int, dst []int) []int
 	// AppendNeighbors32 appends the neighbours of u to dst in increasing
 	// order as int32, the scratch-friendly form of hot repair loops.
 	AppendNeighbors32(u int, dst []int32) []int32
@@ -82,8 +85,10 @@ type Store interface {
 	// would produce, without mutating the store; see (*Graph).BFSEdited.
 	BFSEdited(src, u int, drop, add []int, dist []int32, s *BFSScratch) BFSResult
 	// BFSEditedTargets scores u's strategy changes that drop drop and add
-	// one edge each, one result per target; see (*Graph).BFSEditedTargets.
-	BFSEditedTargets(u int, drop, add []int, res []BFSResult, s *BFSScratch)
+	// one edge each, one result per target, each exact or, where the
+	// bound allows, cut off to the zero BFSResult; see
+	// (*Graph).BFSEditedTargets and Bound.
+	BFSEditedTargets(u int, drop, add []int, b Bound, res []BFSResult, s *BFSScratch)
 	// PartialBFS completes a partially known distance field; see
 	// (*Graph).PartialBFS for the exact contract.
 	PartialBFS(dist []int32, suspects Bitset, s *RepairScratch)
