@@ -390,7 +390,9 @@ func (a *app) cmdFig(args []string) {
 	opt := experiments.Options{Ns: ns, Trials: gf.trials, Seed: gf.seed, Workers: gf.workers}
 	fr, err := experiments.Figure(num, opt)
 	if err != nil {
-		a.Errorf("%v", err)
+		// The figure number and trials are checked above, so what is
+		// left is a grid on which no series of the figure can run.
+		a.Fail("%v", err)
 	}
 	fmt.Fprint(a.Stdout, fr.Render())
 	fmt.Fprintf(a.Stdout, "\nworst max-steps/n over the grid: %.2f\n", fr.Bound())

@@ -31,6 +31,7 @@ func TestFlagValidation(t *testing.T) {
 		{"fig without number", []string{"fig"}},
 		{"fig bad number", []string{"fig", "3"}},
 		{"infeasible budget grid", []string{"run", "sg-sum-budget-k3", "-nmin", "4", "-nmax", "4", "-trials", "1"}},
+		{"infeasible figure grid", []string{"fig", "7", "-nmin", "2", "-nmax", "2", "-trials", "1"}},
 		{"unknown schedule", []string{"run", "sg-sum-budget-k3", "-schedule", "simultaneous"}},
 	} {
 		if code, _, _ := runCmd(tc.args...); code != 2 {
@@ -107,6 +108,23 @@ func TestFigSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out, "worst max-steps/n") {
 		t.Errorf("figure output incomplete:\n%s", out)
+	}
+}
+
+// TestFigGrids: a figure leaves out the series whose ensemble cannot
+// draw an agent count of the grid, and a grid that leaves no series is a
+// usage error that names the grid.
+func TestFigGrids(t *testing.T) {
+	code, out, errOut := runCmd("fig", "11", "-nmin", "4", "-nmax", "4", "-trials", "1", "-workers", "1")
+	if code != 0 {
+		t.Fatalf("fig 11 at n=4: exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "m=1n a=n/4 random") || strings.Contains(out, "m=4n") {
+		t.Errorf("fig 11 at n=4 should print only the m=1n series:\n%s", out)
+	}
+	code, _, errOut = runCmd("fig", "7", "-nmin", "2", "-nmax", "2", "-trials", "1")
+	if code != 2 || !strings.Contains(errOut, "grid [2]") {
+		t.Errorf("fig 7 at n=2: exit %d, want 2 and an error naming the grid; stderr:\n%s", code, errOut)
 	}
 }
 

@@ -1,6 +1,8 @@
 package ensemble
 
 import (
+	"fmt"
+
 	"ncg/internal/dynamics"
 	"ncg/internal/game"
 	"ncg/internal/gen"
@@ -9,9 +11,10 @@ import (
 
 // Built-in scenarios: the paper's figure configurations plus workloads
 // spanning all five game variants. Each entry is one named combination of
-// game x alpha schedule x policy x tie-break x initial-network ensemble;
-// the figure regenerations of internal/experiments sweep parameterized
-// families of these same configurations over their grids.
+// game x alpha schedule x policy x tie-break x initial-network ensemble.
+// The curves of the empirical figures are defined once, by FigureSeries;
+// the fig* entries are some of those curves under registry names, and
+// internal/experiments runs every curve of a figure over its grid.
 
 // grid is the default experiment-scale agent grid.
 var grid = []int{10, 20, 30, 40, 50}
@@ -48,6 +51,92 @@ func directedLine(n int, r *gen.Rand) *graph.Graph { return gen.DirectedLine(n) 
 // gbg builds a Greedy Buy Game with alpha = n/den.
 func gbg(kind game.DistKind, den int64) func(n int) game.Game {
 	return func(n int) game.Game { return game.NewGreedyBuy(kind, game.NewAlpha(int64(n), den)) }
+}
+
+// FigureSeries returns the title and the curves of the numbered empirical
+// figure (7, 8, 11-14; Sections 3.4 and 4.2 of the full version) in
+// plotting order: every curve under the max cost policy, then every curve
+// under the random policy. Each curve is an unregistered scenario named
+// after its legend entry ("k=2 max cost", "m=1n a=n/4 random",
+// "rl a=n/2 max cost"), with the registry's default grid, trials and seed
+// and, where its ensemble has one, the grid check that rejects infeasible
+// agent counts.
+func FigureSeries(num int) (string, []Scenario, error) {
+	kind := game.Max
+	if num == 7 || num == 11 || num == 12 {
+		kind = game.Sum
+	}
+	// priced adds one Greedy Buy curve per edge price alpha = n/den to
+	// the curves of one start.
+	var curves []Scenario
+	priced := func(start Scenario, dens ...int64) {
+		for _, den := range dens {
+			c := start
+			c.Name += " a=n"
+			if den > 1 {
+				c.Name += fmt.Sprintf("/%d", den)
+			}
+			c.Family, c.NewGame = FamilyGreedyBuy, gbg(kind, den)
+			curves = append(curves, c)
+		}
+	}
+	var title string
+	switch num {
+	case 7, 8:
+		// Section 3.4: the bounded-budget ASG.
+		title = fmt.Sprintf("Figure %d: %s-ASG, budget k", num, kind)
+		for _, k := range []int{1, 2, 3, 4, 5, 6, 10} {
+			curves = append(curves, Scenario{
+				Name:       fmt.Sprintf("k=%d", k),
+				Family:     FamilyAsymSwap,
+				NewGame:    func(int) game.Game { return game.NewAsymSwap(kind) },
+				NewInitial: budget(k),
+				CheckN:     budgetCheck(k),
+			})
+		}
+	case 11, 13:
+		// Section 4.2.1: the GBG from random connected m = n and m = 4n
+		// networks.
+		title = fmt.Sprintf("Figure %d: %s-GBG", num, kind)
+		for _, m := range []int{1, 4} {
+			priced(Scenario{Name: fmt.Sprintf("m=%dn", m), NewInitial: randomConn(m), CheckN: randomConnCheck(m)}, 10, 4, 1)
+		}
+	case 12, 14:
+		// Section 4.2.2: the GBG from a random m = n network, the
+		// random-ownership line and the directed line.
+		title = fmt.Sprintf("Figure %d: %s-GBG topologies", num, kind)
+		priced(Scenario{Name: "random", NewInitial: randomConn(1), CheckN: randomConnCheck(1)}, 10, 4, 2, 1)
+		priced(Scenario{Name: "rl", NewInitial: randomLine}, 10, 4, 2, 1)
+		priced(Scenario{Name: "dl", NewInitial: directedLine}, 10, 4, 2, 1)
+	default:
+		return "", nil, fmt.Errorf("ensemble: no empirical figure %d (the empirical figures are 7, 8 and 11-14)", num)
+	}
+	var out []Scenario
+	for _, pol := range []PolicyKind{MaxCost, Random} {
+		for _, c := range curves {
+			c.Name += " " + pol.String()
+			c.Policy, c.Ns, c.Trials, c.Seed = pol, grid, 60, 1
+			out = append(out, c)
+		}
+	}
+	return title, out, nil
+}
+
+// mustRegisterFigure registers the curve of figure num with the given
+// legend entry under a registry name.
+func mustRegisterFigure(num int, curve, name, description string) {
+	_, scs, err := FigureSeries(num)
+	if err != nil {
+		panic(err)
+	}
+	for _, sc := range scs {
+		if sc.Name == curve {
+			sc.Name, sc.Description = name, description
+			mustRegister(sc)
+			return
+		}
+	}
+	panic(fmt.Sprintf("ensemble: figure %d has no curve %q", num, curve))
 }
 
 func init() {
@@ -90,42 +179,12 @@ func init() {
 	})
 
 	// Asymmetric Swap Game (Mihalák & Schlegel): owner-only swaps.
-	mustRegister(Scenario{
-		Name:        "fig7-asg-sum-k2",
-		Description: "SUM-ASG on the budget-2 ensemble, max cost policy (Figure 7, k=2 series)",
-		Family:      FamilyAsymSwap,
-		NewGame:     func(int) game.Game { return game.NewAsymSwap(game.Sum) },
-		NewInitial:  budget(2),
-		CheckN:      budgetCheck(2),
-		Policy:      MaxCost,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
-	mustRegister(Scenario{
-		Name:        "fig7-asg-sum-k2-random",
-		Description: "SUM-ASG on the budget-2 ensemble, random policy (Figure 7, k=2 series)",
-		Family:      FamilyAsymSwap,
-		NewGame:     func(int) game.Game { return game.NewAsymSwap(game.Sum) },
-		NewInitial:  budget(2),
-		CheckN:      budgetCheck(2),
-		Policy:      Random,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
-	mustRegister(Scenario{
-		Name:        "fig8-asg-max-k2",
-		Description: "MAX-ASG on the budget-2 ensemble, max cost policy (Figure 8, k=2 series)",
-		Family:      FamilyAsymSwap,
-		NewGame:     func(int) game.Game { return game.NewAsymSwap(game.Max) },
-		NewInitial:  budget(2),
-		CheckN:      budgetCheck(2),
-		Policy:      MaxCost,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
+	mustRegisterFigure(7, "k=2 max cost", "fig7-asg-sum-k2",
+		"SUM-ASG on the budget-2 ensemble, max cost policy (Figure 7, k=2 series)")
+	mustRegisterFigure(7, "k=2 random", "fig7-asg-sum-k2-random",
+		"SUM-ASG on the budget-2 ensemble, random policy (Figure 7, k=2 series)")
+	mustRegisterFigure(8, "k=2 max cost", "fig8-asg-max-k2",
+		"MAX-ASG on the budget-2 ensemble, max cost policy (Figure 8, k=2 series)")
 	mustRegister(Scenario{
 		Name:        "asg-sum-tree",
 		Description: "SUM-ASG on uniform random trees, max cost policy (tree convergence regime)",
@@ -139,52 +198,14 @@ func init() {
 	})
 
 	// Greedy Buy Game: buy, delete or swap one edge.
-	mustRegister(Scenario{
-		Name:        "fig11-gbg-sum-a4",
-		Description: "SUM-GBG on random connected m=n networks, alpha=n/4, max cost policy (Figure 11 series)",
-		Family:      FamilyGreedyBuy,
-		NewGame:     gbg(game.Sum, 4),
-		NewInitial:  randomConn(1),
-		CheckN:      randomConnCheck(1),
-		Policy:      MaxCost,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
-	mustRegister(Scenario{
-		Name:        "fig12-gbg-sum-rl-a2",
-		Description: "SUM-GBG from the random-ownership line, alpha=n/2, max cost policy (Figure 12 series)",
-		Family:      FamilyGreedyBuy,
-		NewGame:     gbg(game.Sum, 2),
-		NewInitial:  randomLine,
-		Policy:      MaxCost,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
-	mustRegister(Scenario{
-		Name:        "fig13-gbg-max-a4",
-		Description: "MAX-GBG on random connected m=n networks, alpha=n/4, max cost policy (Figure 13 series)",
-		Family:      FamilyGreedyBuy,
-		NewGame:     gbg(game.Max, 4),
-		NewInitial:  randomConn(1),
-		CheckN:      randomConnCheck(1),
-		Policy:      MaxCost,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
-	mustRegister(Scenario{
-		Name:        "fig14-gbg-max-dl-a2",
-		Description: "MAX-GBG from the directed line, alpha=n/2, random policy (Figure 14 series)",
-		Family:      FamilyGreedyBuy,
-		NewGame:     gbg(game.Max, 2),
-		NewInitial:  directedLine,
-		Policy:      Random,
-		Ns:          grid,
-		Trials:      60,
-		Seed:        1,
-	})
+	mustRegisterFigure(11, "m=1n a=n/4 max cost", "fig11-gbg-sum-a4",
+		"SUM-GBG on random connected m=n networks, alpha=n/4, max cost policy (Figure 11 series)")
+	mustRegisterFigure(12, "rl a=n/2 max cost", "fig12-gbg-sum-rl-a2",
+		"SUM-GBG from the random-ownership line, alpha=n/2, max cost policy (Figure 12 series)")
+	mustRegisterFigure(13, "m=1n a=n/4 max cost", "fig13-gbg-max-a4",
+		"MAX-GBG on random connected m=n networks, alpha=n/4, max cost policy (Figure 13 series)")
+	mustRegisterFigure(14, "dl a=n/2 random", "fig14-gbg-max-dl-a2",
+		"MAX-GBG from the directed line, alpha=n/2, random policy (Figure 14 series)")
 	mustRegister(Scenario{
 		Name:        "gbg-sum-dense-an",
 		Description: "SUM-GBG on dense m=4n networks at alpha=n, random policy (deletion-phase workload, Section 4.2.2)",

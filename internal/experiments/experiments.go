@@ -2,151 +2,29 @@
 // (Sections 3.4 and 4.2): convergence-time sweeps of the bounded-budget
 // Asymmetric Swap Game (Figures 7 and 8) and of the Greedy Buy Game
 // (Figures 11-14), under the max cost and random move policies, over the
-// paper's initial-network ensembles. Since PR 2 the package is a thin
-// query layer over the internal/ensemble execution spine: every series is
-// an ensemble.Scenario and every sweep runs through ensemble.Execute, so
-// figures inherit the spine's sharded execution, deterministic per-trial
-// seed streams and record sinks.
+// paper's initial-network ensembles. The package is a thin query layer
+// over the internal/ensemble execution spine: every curve is a scenario
+// of ensemble.FigureSeries and runs as one ensemble.Execute over the
+// whole grid, so figures inherit the spine's sharded execution and
+// deterministic per-trial seed streams.
 package experiments
 
 import (
 	"fmt"
 
 	"ncg/internal/ensemble"
-	"ncg/internal/game"
-	"ncg/internal/gen"
-	"ncg/internal/graph"
 )
 
-// PolicyKind selects a move policy by name; it is the ensemble spine's
-// kind re-exported for the sweep layer.
-type PolicyKind = ensemble.PolicyKind
-
-const (
-	// MaxCostPolicy is the max cost policy of Section 3.4.1.
-	MaxCostPolicy = ensemble.MaxCost
-	// RandomPolicy is the random policy of Section 3.4.1.
-	RandomPolicy = ensemble.Random
-	// MaxCostDeterministicPolicy is the max cost policy with
-	// smallest-index tie-breaking (Theorem 2.11 / Figure 1).
-	MaxCostDeterministicPolicy = ensemble.MaxCostDeterministic
-	// MinIndexPolicy always moves the unhappy agent with the smallest
-	// index.
-	MinIndexPolicy = ensemble.MinIndex
-)
-
-// Config is one experimental configuration: a family of random initial
-// networks, a game, and a policy, evaluated at a single agent count.
-type Config struct {
-	// Name identifies the series (e.g. "k=2 max cost").
-	Name string
-	// N is the number of agents.
-	N int
-	// Trials is the number of runs.
-	Trials int
-	// Seed is the base seed; each trial derives its own stream.
-	Seed int64
-	// NewGame builds the game for this n (alpha may depend on n).
-	NewGame func(n int) game.Game
-	// NewInitial builds a random initial network.
-	NewInitial func(n int, r *gen.Rand) *graph.Graph
-	// Policy selects the move policy.
-	Policy PolicyKind
-	// MaxSteps caps each run (0: dynamics default).
-	MaxSteps int
-	// ProbeWorkers fans the happiness probes of each run over a worker
-	// pool (see dynamics.Config.Workers); 0 probes serially. Sweeps at
-	// small n saturate cores by running trials in parallel, so leave this
-	// at 0 there; at large n, trade trial parallelism for probe
-	// parallelism instead. Traces are identical either way.
-	ProbeWorkers int
-}
-
-// scenario converts the configuration into its ensemble form. The
-// conversion is what puts the figure sweeps on the shared execution spine:
-// per-trial seed streams, sharding and record sinks all come from there.
-// Configs are not registry entries, so a name is optional here.
-func (cfg Config) scenario() ensemble.Scenario {
-	name := cfg.Name
-	if name == "" {
-		name = "unnamed"
-	}
-	return ensemble.Scenario{
-		Name:       name,
-		NewGame:    cfg.NewGame,
-		NewInitial: cfg.NewInitial,
-		Policy:     cfg.Policy,
-		Ns:         []int{cfg.N},
-		Trials:     cfg.Trials,
-		Seed:       cfg.Seed,
-		MaxSteps:   cfg.MaxSteps,
-	}
-}
-
-// Stats aggregates convergence times over the trials of one configuration.
-type Stats struct {
-	Config     Config
-	Trials     int
-	Converged  int
-	Cycled     int
-	AvgSteps   float64
-	MaxSteps   int
-	MinSteps   int
-	TotalMoves [4]int // by game.MoveKind
-}
-
-// statsOf maps an ensemble aggregate back onto the package's Stats form.
-func statsOf(cfg Config, a ensemble.Aggregate) Stats {
-	return Stats{
-		Config:     cfg,
-		Trials:     a.Trials,
-		Converged:  a.Converged,
-		Cycled:     a.Cycled,
-		AvgSteps:   a.AvgSteps(),
-		MaxSteps:   a.MaxSteps,
-		MinSteps:   a.MinSteps,
-		TotalMoves: a.TotalMoves,
-	}
-}
-
-// Run executes all trials of a configuration on the ensemble spine,
-// distributing them over workers goroutines (0 = GOMAXPROCS). A trial
-// panic (e.g. an infeasible generator grid) propagates, matching the
-// pre-spine behaviour; a configuration without trials yields zero stats.
-func Run(cfg Config, workers int) Stats {
-	if cfg.Trials <= 0 {
-		return Stats{Config: cfg}
-	}
-	sum, err := ensemble.Execute(cfg.scenario(), ensemble.Options{
-		Workers:      workers,
-		ProbeWorkers: cfg.ProbeWorkers,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return statsOf(cfg, sum.Aggregates[0])
-}
-
-// Series is one plotted curve: a named configuration swept over n.
+// Series is one plotted curve: a figure series run over the grid, one
+// aggregate per agent count.
 type Series struct {
 	Name   string
-	Points []Stats
-}
-
-// Sweep runs a configuration template over the given agent counts.
-func Sweep(tmpl Config, ns []int, workers int) Series {
-	s := Series{Name: tmpl.Name}
-	for _, n := range ns {
-		cfg := tmpl
-		cfg.N = n
-		s.Points = append(s.Points, Run(cfg, workers))
-	}
-	return s
+	Points []ensemble.Aggregate
 }
 
 // Table renders series as an aligned text table of the chosen metric, one
 // row per n, matching the curves of the paper's figures.
-func Table(series []Series, ns []int, metric func(Stats) float64) string {
+func Table(series []Series, ns []int, metric func(ensemble.Aggregate) float64) string {
 	out := "n"
 	for _, s := range series {
 		out += fmt.Sprintf("\t%s", s.Name)
@@ -163,7 +41,7 @@ func Table(series []Series, ns []int, metric func(Stats) float64) string {
 }
 
 // AvgMetric extracts the average step count.
-func AvgMetric(st Stats) float64 { return st.AvgSteps }
+func AvgMetric(a ensemble.Aggregate) float64 { return a.AvgSteps() }
 
 // MaxMetric extracts the maximum step count.
-func MaxMetric(st Stats) float64 { return float64(st.MaxSteps) }
+func MaxMetric(a ensemble.Aggregate) float64 { return float64(a.MaxSteps) }

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"ncg/internal/game"
-	"ncg/internal/gen"
-	"ncg/internal/graph"
+	"ncg/internal/ensemble"
 )
 
 // Options scale a figure regeneration: the paper uses 10000 trials (ASG)
@@ -20,8 +18,11 @@ type Options struct {
 	Trials  int
 	Seed    int64
 	Workers int
-	// ProbeWorkers fans each run's happiness probes over a worker pool;
-	// see Config.ProbeWorkers.
+	// ProbeWorkers fans the happiness probes of each run over a worker
+	// pool (see dynamics.Config.Workers); 0 probes serially. Sweeps at
+	// small n saturate cores by running trials in parallel, so leave this
+	// at 0 there; at large n, trade trial parallelism for probe
+	// parallelism instead. Results are identical either way.
 	ProbeWorkers int
 }
 
@@ -56,181 +57,51 @@ func (fr FigureResult) Render() string {
 func (fr FigureResult) Bound() float64 {
 	worst := 0.0
 	for _, s := range fr.Series {
-		for i, p := range s.Points {
-			r := float64(p.MaxSteps) / float64(fr.Ns[i])
-			if r > worst {
-				worst = r
-			}
+		for _, p := range s.Points {
+			worst = max(worst, float64(p.MaxSteps)/float64(p.N))
 		}
 	}
 	return worst
 }
 
-// budgetInitial builds the Section 3.4.1 ensemble.
-func budgetInitial(k int) func(n int, r *gen.Rand) *graph.Graph {
-	return func(n int, r *gen.Rand) *graph.Graph {
-		return gen.BudgetNetwork(n, k, r)
-	}
-}
-
-// Fig7 regenerates Figure 7: SUM-ASG with budget k over both policies.
-func Fig7(opt Options) FigureResult {
-	return figASG("Figure 7: SUM-ASG, budget k", game.Sum, opt)
-}
-
-// Fig8 regenerates Figure 8: MAX-ASG with budget k over both policies.
-func Fig8(opt Options) FigureResult {
-	return figASG("Figure 8: MAX-ASG, budget k", game.Max, opt)
-}
-
-func figASG(name string, kind game.DistKind, opt Options) FigureResult {
-	fr := FigureResult{Name: name, Ns: opt.Ns}
-	for _, pol := range []PolicyKind{MaxCostPolicy, RandomPolicy} {
-		for _, k := range []int{1, 2, 3, 4, 5, 6, 10} {
-			// Respect the generator's n > 2k requirement.
-			ns := opt.Ns
-			usable := ns[:0:0]
-			for _, n := range ns {
-				if n > 2*k {
-					usable = append(usable, n)
-				}
-			}
-			if len(usable) != len(ns) {
-				continue
-			}
-			tmpl := Config{
-				Name:         fmt.Sprintf("k=%d %s", k, pol),
-				Trials:       opt.Trials,
-				Seed:         opt.Seed,
-				NewGame:      func(int) game.Game { return game.NewAsymSwap(kind) },
-				NewInitial:   budgetInitial(k),
-				Policy:       pol,
-				ProbeWorkers: opt.ProbeWorkers,
-			}
-			fr.Series = append(fr.Series, Sweep(tmpl, ns, opt.Workers))
-		}
-	}
-	return fr
-}
-
-// gbgAlphas are the edge prices of Section 4.2.1 as exact rationals in n:
-// alpha = n/10, n/4, n/2, n.
-var gbgAlphas = []struct {
-	Name string
-	Den  int64
-}{
-	{"a=n/10", 10},
-	{"a=n/4", 4},
-	{"a=n", 1},
-}
-
-// Fig11 regenerates Figure 11: SUM-GBG, m in {n, 4n}, alpha in
-// {n/10, n/4, n}, both policies.
-func Fig11(opt Options) FigureResult {
-	return figGBG("Figure 11: SUM-GBG", game.Sum, opt)
-}
-
-// Fig13 regenerates Figure 13: MAX-GBG, same grid.
-func Fig13(opt Options) FigureResult {
-	return figGBG("Figure 13: MAX-GBG", game.Max, opt)
-}
-
-func figGBG(name string, kind game.DistKind, opt Options) FigureResult {
-	fr := FigureResult{Name: name, Ns: opt.Ns}
-	for _, pol := range []PolicyKind{MaxCostPolicy, RandomPolicy} {
-		for _, mMul := range []int{1, 4} {
-			for _, al := range gbgAlphas {
-				mm, alName := mMul, al
-				tmpl := Config{
-					Name:   fmt.Sprintf("m=%dn %s %s", mm, alName.Name, pol),
-					Trials: opt.Trials,
-					Seed:   opt.Seed,
-					NewGame: func(n int) game.Game {
-						return game.NewGreedyBuy(kind, game.NewAlpha(int64(n), alName.Den))
-					},
-					NewInitial: func(n int, r *gen.Rand) *graph.Graph {
-						return gen.RandomConnected(n, mm*n, r)
-					},
-					Policy:       pol,
-					ProbeWorkers: opt.ProbeWorkers,
-				}
-				fr.Series = append(fr.Series, Sweep(tmpl, opt.Ns, opt.Workers))
-			}
-		}
-	}
-	return fr
-}
-
-// topologies are the Section 4.2.2 starting-topology variants.
-var topologies = []struct {
-	Name string
-	New  func(n int, r *gen.Rand) *graph.Graph
-}{
-	{"random", func(n int, r *gen.Rand) *graph.Graph { return gen.RandomConnected(n, n, r) }},
-	{"rl", func(n int, r *gen.Rand) *graph.Graph { return gen.RandomLine(n, r) }},
-	{"dl", func(n int, r *gen.Rand) *graph.Graph { return gen.DirectedLine(n) }},
-}
-
-// topoAlphas adds alpha = n/2 per the comparison figures.
-var topoAlphas = []struct {
-	Name string
-	Den  int64
-}{
-	{"a=n/10", 10},
-	{"a=n/4", 4},
-	{"a=n/2", 2},
-	{"a=n", 1},
-}
-
-// Fig12 regenerates Figure 12: SUM-GBG starting-topology comparison.
-func Fig12(opt Options) FigureResult {
-	return figTopo("Figure 12: SUM-GBG topologies", game.Sum, opt)
-}
-
-// Fig14 regenerates Figure 14: MAX-GBG starting-topology comparison.
-func Fig14(opt Options) FigureResult {
-	return figTopo("Figure 14: MAX-GBG topologies", game.Max, opt)
-}
-
-func figTopo(name string, kind game.DistKind, opt Options) FigureResult {
-	fr := FigureResult{Name: name, Ns: opt.Ns}
-	for _, pol := range []PolicyKind{MaxCostPolicy, RandomPolicy} {
-		for _, topo := range topologies {
-			for _, al := range topoAlphas {
-				tp, alName := topo, al
-				tmpl := Config{
-					Name:   fmt.Sprintf("%s %s %s", tp.Name, alName.Name, pol),
-					Trials: opt.Trials,
-					Seed:   opt.Seed,
-					NewGame: func(n int) game.Game {
-						return game.NewGreedyBuy(kind, game.NewAlpha(int64(n), alName.Den))
-					},
-					NewInitial:   tp.New,
-					Policy:       pol,
-					ProbeWorkers: opt.ProbeWorkers,
-				}
-				fr.Series = append(fr.Series, Sweep(tmpl, opt.Ns, opt.Workers))
-			}
-		}
-	}
-	return fr
-}
-
-// Figure returns the regeneration of the numbered figure (7, 8, 11-14).
+// Figure regenerates the numbered empirical figure (7, 8, 11-14). Each
+// series of ensemble.FigureSeries runs once, as one ensemble execution
+// over the whole grid at opt's trials and seed (a zero seed is run as
+// seed 0, not replaced by the series default). A series whose ensemble
+// rejects an agent count of the grid, such as a budget k with n <= 2k, is
+// left out; a figure with no series left, an empty grid or no trials is
+// an error.
 func Figure(num int, opt Options) (FigureResult, error) {
-	switch num {
-	case 7:
-		return Fig7(opt), nil
-	case 8:
-		return Fig8(opt), nil
-	case 11:
-		return Fig11(opt), nil
-	case 12:
-		return Fig12(opt), nil
-	case 13:
-		return Fig13(opt), nil
-	case 14:
-		return Fig14(opt), nil
+	title, scs, err := ensemble.FigureSeries(num)
+	if err != nil {
+		return FigureResult{}, fmt.Errorf("experiments: %v (theory figures are verified by the cycles package)", err)
 	}
-	return FigureResult{}, fmt.Errorf("experiments: no experiment for figure %d (theory figures are verified by the cycles package)", num)
+	if len(opt.Ns) == 0 || opt.Trials < 1 {
+		return FigureResult{}, fmt.Errorf("experiments: figure %d needs agent counts and at least one trial, got grid %v and %d trials", num, opt.Ns, opt.Trials)
+	}
+	fr := FigureResult{Name: title, Ns: opt.Ns}
+	var rejected error
+series:
+	for _, sc := range scs {
+		if sc.CheckN != nil {
+			for _, n := range opt.Ns {
+				if err := sc.CheckN(n); err != nil {
+					if rejected == nil {
+						rejected = fmt.Errorf("%s: %v", sc.Name, err)
+					}
+					continue series
+				}
+			}
+		}
+		sc.Ns, sc.Trials, sc.Seed = opt.Ns, opt.Trials, opt.Seed
+		sum, err := ensemble.Execute(sc, ensemble.Options{Workers: opt.Workers, ProbeWorkers: opt.ProbeWorkers})
+		if err != nil {
+			return FigureResult{}, fmt.Errorf("experiments: figure %d: %v", num, err)
+		}
+		fr.Series = append(fr.Series, Series{Name: sc.Name, Points: sum.Aggregates})
+	}
+	if len(fr.Series) == 0 {
+		return FigureResult{}, fmt.Errorf("experiments: figure %d has no series on the grid %v: %v", num, opt.Ns, rejected)
+	}
+	return fr, nil
 }

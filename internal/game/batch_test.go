@@ -25,50 +25,6 @@ func TestMakePairKey(t *testing.T) {
 	}
 }
 
-// TestDisjointMoves: moves touching a common edge slot collide regardless
-// of which endpoint names the pair or whether it is dropped or added.
-func TestDisjointMoves(t *testing.T) {
-	cases := []struct {
-		name  string
-		moves []Move
-		want  bool
-	}{
-		{"empty", nil, true},
-		{"single", []Move{{Agent: 0, Drop: []int{1}, Add: []int{2}}}, true},
-		{"disjoint pairs", []Move{
-			{Agent: 0, Drop: []int{1}, Add: []int{2}},
-			{Agent: 3, Drop: []int{4}, Add: []int{5}},
-		}, true},
-		{"shared endpoint distinct pairs", []Move{
-			{Agent: 0, Add: []int{2}},
-			{Agent: 1, Add: []int{2}}, // both touch vertex 2, different slots
-		}, true},
-		{"add vs drop of same slot from opposite ends", []Move{
-			{Agent: 0, Add: []int{1}},
-			{Agent: 1, Drop: []int{0}},
-		}, false},
-		{"two adds of the same slot", []Move{
-			{Agent: 2, Add: []int{5}},
-			{Agent: 5, Add: []int{2}},
-		}, false},
-		{"collision within one move set, later entries", []Move{
-			{Agent: 0, Add: []int{3}},
-			{Agent: 1, Add: []int{2}},
-			{Agent: 3, Drop: []int{0}},
-		}, false},
-	}
-	seen := map[PairKey]struct{}{}
-	for _, tc := range cases {
-		if got := DisjointMoves(tc.moves, seen); got != tc.want {
-			t.Errorf("%s: DisjointMoves = %v, want %v", tc.name, got, tc.want)
-		}
-		// A nil scratch map must behave identically.
-		if got := DisjointMoves(tc.moves, nil); got != tc.want {
-			t.Errorf("%s (nil scratch): DisjointMoves = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // randomDisjointSet draws a jointly applicable move set on g: each move
 // drops owned neighbours and adds non-neighbours, and every touched slot is
 // claimed at most once across the whole set.
@@ -107,8 +63,19 @@ func randomDisjointSet(g *graph.Graph, r *rand.Rand) []Move {
 	return moves
 }
 
-// TestApplySetUndoRoundTrip: batch apply + undo restores the graph exactly
-// (including ownership) and cancels an attached incremental fingerprint.
+// applySet applies the moves in slice order, as a round commits the moves
+// it keeps, and returns their undo records.
+func applySet(g graph.Store, moves []Move) []Applied {
+	applied := make([]Applied, len(moves))
+	for i, m := range moves {
+		applied[i] = Apply(g, m)
+	}
+	return applied
+}
+
+// TestApplySetUndoRoundTrip: applying a disjoint move set move by move and
+// undoing it in reverse order restores the graph exactly (including
+// ownership) and cancels an attached incremental fingerprint.
 func TestApplySetUndoRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	const n = 14
@@ -121,16 +88,15 @@ func TestApplySetUndoRoundTrip(t *testing.T) {
 		awareBefore, blindBefore := fp.Aware(), fp.Blind()
 
 		moves := randomDisjointSet(g, r)
-		if !DisjointMoves(moves, nil) {
-			t.Fatal("randomDisjointSet produced a colliding set")
-		}
-		as := ApplySet(g, moves)
+		applied := applySet(g, moves)
 		if len(moves) > 0 && g.Equal(before) {
-			// Every move changes at least one edge, so a non-empty batch
+			// Every move changes at least one edge, so a non-empty set
 			// must change the graph.
-			t.Fatal("non-empty batch left the graph unchanged")
+			t.Fatal("non-empty move set left the graph unchanged")
 		}
-		as.Undo()
+		for i := len(applied) - 1; i >= 0; i-- {
+			applied[i].Undo()
+		}
 		g.SetObserver(nil)
 		if !g.Equal(before) {
 			t.Fatalf("trial %d: undo did not restore the graph", trial)
@@ -151,14 +117,14 @@ func TestApplySetOrderIndependence(t *testing.T) {
 		moves := randomDisjointSet(g, r)
 
 		g1 := g.Clone()
-		ApplySet(g1, moves)
+		applySet(g1, moves)
 
 		rev := make([]Move, len(moves))
 		for i, m := range moves {
 			rev[len(moves)-1-i] = m
 		}
 		g2 := g.Clone()
-		ApplySet(g2, rev)
+		applySet(g2, rev)
 
 		if !g1.Equal(g2) {
 			t.Fatalf("trial %d: commit order changed the resulting network", trial)

@@ -10,19 +10,37 @@ import (
 
 // decodeBRCase decodes a fuzz input into an owned network on 1..66 agents
 // (both sides of the one-word search boundary at 64), one of SG, ASG and
-// GBG under SUM or MAX, and a GBG edge price. Byte 0 sizes the network,
-// byte 1 picks the game, byte 2 the price, byte 3 seeds an optional
+// GBG under SUM or MAX, a GBG edge price, and an optional host graph that
+// the swapped-in and bought edges must belong to. Byte 0 sizes the
+// network; byte 1 picks the game from its value mod 6 and the host from
+// the rest: none when byte1/6 is even, otherwise a host holding each pair
+// with probability 1/4, 2/4, 3/4 or 1 by byte1/12 mod 4, drawn with bytes
+// 1 and 3 as seed. Byte 2 picks the price, byte 3 seeds an optional
 // spanning tree (odd values leave it out, so disconnected networks are
 // common), and every later byte pair adds an edge owned by its first
-// endpoint.
-func decodeBRCase(data []byte) (*graph.Graph, Game) {
+// endpoint. The host is returned as a nil Store when there is none.
+func decodeBRCase(data []byte) (*graph.Graph, Game, graph.Store) {
 	for len(data) < 4 {
 		data = append(data, 0)
 	}
 	n := 1 + int(data[0])%66
 	kind := DistKind(data[1] % 2)
 	alpha := NewAlpha(int64(1+data[2]%9), int64(1+data[2]/9%3))
-	gm := []Game{NewSwap(kind), NewAsymSwap(kind), NewGreedyBuy(kind, alpha)}[data[1]/2%3]
+	var host graph.Store
+	if data[1]/6%2 == 1 {
+		h := graph.New(n)
+		r := rand.New(rand.NewSource(int64(data[1])<<8 | int64(data[3])))
+		keep := int(data[1] / 12 % 4)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if r.Intn(4) <= keep {
+					h.AddEdge(u, v)
+				}
+			}
+		}
+		host = h
+	}
+	gm := []Game{NewSwapHost(kind, host), NewAsymSwapHost(kind, host), NewGreedyBuyHost(kind, alpha, host)}[data[1]/2%3]
 	g := graph.New(n)
 	if data[3]%2 == 0 {
 		r := rand.New(rand.NewSource(int64(data[3])))
@@ -40,14 +58,15 @@ func decodeBRCase(data []byte) (*graph.Graph, Game) {
 			g.AddEdge(u, v)
 		}
 	}
-	return g, gm
+	return g, gm, host
 }
 
-// bruteCandidates lists u's candidate moves under gm in the order the
-// scans offer them: swaps of SG (any incident edge) and ASG (owned edges)
-// with drops outermost; for the GBG the deletions of owned edges, then
-// their swaps, then the additions.
-func bruteCandidates(g *graph.Graph, gm Game, u int) []Move {
+// bruteCandidates lists u's candidate moves under gm on the host graph
+// (nil: the complete one) in the order the scans offer them: swaps of SG
+// (any incident edge) and ASG (owned edges) with drops outermost; for the
+// GBG the deletions of owned edges, then their swaps, then the additions.
+// Swapped-in and added edges are host edges; deletions are not limited.
+func bruteCandidates(g *graph.Graph, gm Game, host graph.Store, u int) []Move {
 	var nbrs, owned, targets []int
 	for v := 0; v < g.N(); v++ {
 		switch {
@@ -57,7 +76,7 @@ func bruteCandidates(g *graph.Graph, gm Game, u int) []Move {
 			if g.Owns(u, v) {
 				owned = append(owned, v)
 			}
-		default:
+		case host == nil || host.HasEdge(u, v):
 			targets = append(targets, v)
 		}
 	}
@@ -88,8 +107,8 @@ func bruteCandidates(g *graph.Graph, gm Game, u int) []Move {
 
 // bruteForce scores every candidate of u by apply, Cost, undo, and sorts
 // them with bruteQueries.
-func bruteForce(g *graph.Graph, gm Game, u int, s *Scratch) (improving, best []Move, bestCost Cost) {
-	ms := bruteCandidates(g, gm, u)
+func bruteForce(g *graph.Graph, gm Game, host graph.Store, u int, s *Scratch) (improving, best []Move, bestCost Cost) {
+	ms := bruteCandidates(g, gm, host, u)
 	costs := make([]Cost, len(ms))
 	for i, m := range ms {
 		ap := Apply(g, m)
@@ -125,26 +144,27 @@ func bruteQueries(ms []Move, costs []Cost, cur Cost, a Alpha) (improving, best [
 	return improving, best, costs[min]
 }
 
-// siblingGame returns gm's game under the other distance kind.
-func siblingGame(gm Game) Game {
+// siblingGame returns gm's game on the same host under the other
+// distance kind.
+func siblingGame(gm Game, host graph.Store) Game {
 	kind := Sum
 	if gm.DistKind() == Sum {
 		kind = Max
 	}
 	switch g := gm.(type) {
 	case *Swap:
-		return NewSwap(kind)
+		return NewSwapHost(kind, host)
 	case *AsymSwap:
-		return NewAsymSwap(kind)
+		return NewAsymSwapHost(kind, host)
 	case *GreedyBuy:
-		return NewGreedyBuy(kind, g.Alpha())
+		return NewGreedyBuyHost(kind, g.Alpha(), host)
 	}
 	panic("no sibling for " + gm.Name())
 }
 
 // FuzzBestResponse requires HasImproving, ImprovingMoves and BestMoves of
-// SG, ASG and GBG, under SUM and MAX, to equal the apply-Cost-undo brute
-// force, in every scan mode: delta scans without an oracle, with the exact
+// SG, ASG and GBG, under SUM and MAX, with and without a host graph, to
+// equal the apply-Cost-undo brute force, in every scan mode: delta scans without an oracle, with the exact
 // oracle, with warmed all-sources sums (the SUM leaf scores), with k
 // landmarks (k = 1..10 from byte 2), and the naive scans; every mode runs
 // on the dense network and on its CSR copy (graph.NewSparseFrom), the
@@ -165,8 +185,19 @@ func FuzzBestResponse(f *testing.F) {
 	f.Add([]byte{66})
 	f.Add([]byte{40, 1, 250, 0, 3, 17})
 	f.Add([]byte{30, 3, 120, 2, 5, 9, 9, 21})
+	// Host graphs: SG, ASG and GBG under both kinds, at every host
+	// density, on both sides of the ball and one-word size limits.
+	f.Add([]byte{9, 6, 0, 0})
+	f.Add([]byte{12, 23, 5, 2, 0, 5, 3, 7})
+	f.Add([]byte{24, 9, 4, 1, 0, 1, 1, 2, 2, 3, 3, 4})
+	f.Add([]byte{16, 8, 3, 4, 0, 15, 2, 9})
+	f.Add([]byte{30, 18, 40, 2, 5, 9, 9, 21})
+	f.Add([]byte{40, 11, 250, 0, 3, 17})
+	f.Add([]byte{64, 31, 7, 6, 1, 64, 63, 2})
+	f.Add([]byte{65, 10, 13, 4, 64, 0, 3, 65})
+	f.Add([]byte{20, 42, 2, 8, 0, 19})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, gm := decodeBRCase(data)
+		g, gm, host := decodeBRCase(data)
 		sp := graph.NewSparseFrom(g)
 		k := 1
 		if len(data) > 2 {
@@ -174,7 +205,7 @@ func FuzzBestResponse(f *testing.F) {
 		}
 		n := g.N()
 		s := NewScratch(n)
-		sibling := siblingGame(gm)
+		sibling := siblingGame(gm, host)
 		type mode struct {
 			name string
 			gm   Game
@@ -188,7 +219,7 @@ func FuzzBestResponse(f *testing.F) {
 			{"naive", Naive(gm), func(graph.Store) {}},
 		}
 		check := func(u int) {
-			improving, best, bestCost := bruteForce(g, gm, u, s)
+			improving, best, bestCost := bruteForce(g, gm, host, u, s)
 			for _, st := range []graph.Store{g, sp} {
 				for _, m := range modes {
 					where := fmt.Sprintf("%s/%s on %T", gm.Name(), m.name, st)
